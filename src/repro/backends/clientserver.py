@@ -18,7 +18,6 @@ time, so reported figures combine compute and simulated communication.
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.bitmap import Bitmap
@@ -26,9 +25,8 @@ from repro.core.interface import HyperModelDatabase, NodeRef
 from repro.core.model import LinkAttributes, NodeData, NodeKind
 from repro.netsim.cache import WorkstationCache
 from repro.netsim.config import NetworkConfig
-from repro.netsim.faults import FaultModel
-from repro.netsim.latency import LatencyModel, SimulatedClock
-from repro.netsim.server import ObjectServer
+from repro.netsim.latency import SimulatedClock
+from repro.netsim.server import ObjectServer, ServerVerbs
 from repro.obs import Instrumentation, TraceContext, resolve
 from repro.replication.group import ReplicationGroup
 from repro.replication.router import ReplicaRouter
@@ -41,11 +39,6 @@ from repro.errors import (
     NodeNotFoundError,
     RpcExhaustedError,
 )
-
-#: Legacy-kwarg combinations already warned about in this process: the
-#: deprecation fires once per distinct combination, not once per call
-#: (a benchmark constructing hundreds of clients must not spam it).
-_WARNED_LEGACY: set = set()
 
 _KIND_NAMES = {
     NodeKind.NODE: "node",
@@ -105,20 +98,18 @@ class ClientServerDatabase(HyperModelDatabase):
     :class:`~repro.netsim.config.NetworkConfig` — latency and fault
     models, cache size, retry policy, push-down/readahead, and the
     concurrency mode (plain stores vs optimistic validation at
-    commit).  The old per-knob keyword arguments (``cache_capacity=``,
-    ``latency=``, ``fault_model=``, ``rpc_retries=``,
-    ``rpc_backoff_seconds=``, ``pushdown=``, ``readahead_depth=``)
-    still work for one release: each is folded into the config and
-    emits a ``DeprecationWarning``.
+    commit).  Whatever the deployment — one server, shards or
+    replicas — ``self.server`` speaks the
+    :class:`~repro.netsim.server.ServerVerbs` surface.
 
     Args:
         path: unused (registry signature compatibility); the server
             lives in process memory and survives close/open.
         network: the typed network/cache/retry/concurrency settings
             (defaults to ``NetworkConfig()``).
-        server: share an existing server between several client
-            handles (the multi-user scenario).  A shared server keeps
-            its own latency/fault models.
+        server: share an existing server (or replication group)
+            between several client handles (the multi-user scenario).
+            A shared server keeps its own latency/fault models.
         instrumentation: counter/span/histogram sink.
         clock: the virtual clock this client's time (RPC latency
             histograms, retry backoff) is charged to.  Defaults to
@@ -129,16 +120,6 @@ class ClientServerDatabase(HyperModelDatabase):
             attributable per client.
     """
 
-    _LEGACY_OPTIONS = (
-        "cache_capacity",
-        "latency",
-        "fault_model",
-        "rpc_retries",
-        "rpc_backoff_seconds",
-        "pushdown",
-        "readahead_depth",
-    )
-
     def __init__(
         self,
         path: Optional[str] = None,
@@ -148,40 +129,8 @@ class ClientServerDatabase(HyperModelDatabase):
         instrumentation: Optional[Instrumentation] = None,
         clock: Optional[SimulatedClock] = None,
         client_id: Optional[str] = None,
-        cache_capacity: Optional[int] = None,
-        latency: Optional[LatencyModel] = None,
-        fault_model: Optional[FaultModel] = None,
-        rpc_retries: Optional[int] = None,
-        rpc_backoff_seconds: Optional[float] = None,
-        pushdown: Optional[bool] = None,
-        readahead_depth: Optional[int] = None,
     ) -> None:
-        legacy = {
-            name: value
-            for name, value in (
-                ("cache_capacity", cache_capacity),
-                ("latency", latency),
-                ("fault_model", fault_model),
-                ("rpc_retries", rpc_retries),
-                ("rpc_backoff_seconds", rpc_backoff_seconds),
-                ("pushdown", pushdown),
-                ("readahead_depth", readahead_depth),
-            )
-            if value is not None
-        }
-        if legacy:
-            fingerprint = tuple(sorted(legacy))
-            if fingerprint not in _WARNED_LEGACY:
-                _WARNED_LEGACY.add(fingerprint)
-                warnings.warn(
-                    "ClientServerDatabase keyword option(s) "
-                    + ", ".join(sorted(legacy))
-                    + " are deprecated; pass network=NetworkConfig(...)"
-                    " instead",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-        network = (network or NetworkConfig()).replace(**legacy)
+        network = network or NetworkConfig()
         self.network = network
         self.client_id = client_id
         self.pushdown = bool(network.pushdown)
@@ -192,6 +141,7 @@ class ClientServerDatabase(HyperModelDatabase):
         self.instrumentation = resolve(instrumentation)
         sharding = network.sharding
         replication = network.replication
+        self.server: ServerVerbs
         if server is not None:
             self.simulated_clock = clock or server.clock
             if isinstance(server, ReplicationGroup):
@@ -207,8 +157,8 @@ class ClientServerDatabase(HyperModelDatabase):
                 self.server = server
         elif replication is not None:
             # Private 1-primary + N-replica deployment; the router
-            # presents the ObjectServer verb surface, so everything
-            # below this branch is identical code either way.
+            # speaks ServerVerbs, so everything below this branch is
+            # identical code either way.
             self.simulated_clock = clock or SimulatedClock()
             group = ReplicationGroup(
                 replication,
@@ -223,10 +173,10 @@ class ClientServerDatabase(HyperModelDatabase):
                 instrumentation=self.instrumentation,
             )
         elif sharding is not None and sharding.shards > 1:
-            # N-server deployment: the router presents the ObjectServer
-            # verb surface, so everything below this branch — cache,
-            # retries, trace propagation, commit protocol selection —
-            # is identical code either way.
+            # N-server deployment: the router speaks ServerVerbs, so
+            # everything below this branch — cache, retries, trace
+            # propagation, commit protocol selection — is identical
+            # code either way.
             self.simulated_clock = clock or SimulatedClock()
             self.server = ShardRouter(
                 sharding,
@@ -578,9 +528,7 @@ class ClientServerDatabase(HyperModelDatabase):
             self.server.traverse,
             root,
             relation,
-            direction="forward",
             depth=depth,
-            with_records=True,
             limit=self.cache.capacity,
         )  # one round trip for the whole closure
         instr.count("backend.rpc.pushdown.calls")

@@ -26,17 +26,12 @@ shapes:
   reads, one text-node write per transaction (hot shared set with
   probability ``conflict_rate``, a private partition otherwise),
   optimistic validation at commit, abort/retry on conflict.
-
-The old round-robin entry points :func:`run_read_load` and
-:func:`run_update_load` delegate to the harness and emit a
-``DeprecationWarning``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
-import warnings
 from typing import Callable, Dict, List, Optional
 
 from repro.backends.clientserver import ClientServerDatabase
@@ -510,53 +505,3 @@ class MultiUserHarness:
             queue_seconds=transport.queue_seconds,
             busy_seconds=transport.busy_seconds,
         )
-
-
-# ----------------------------------------------------------------------
-# Deprecated round-robin entry points (one release of grace)
-# ----------------------------------------------------------------------
-
-#: Shim names already warned about in this process: each deprecation
-#: fires once, not once per call (a loop over the shims must not spam
-#: the warning on every iteration).
-_WARNED_SHIMS: set = set()
-
-
-def _warn_shim(name: str, message: str) -> None:
-    if name not in _WARNED_SHIMS:
-        _WARNED_SHIMS.add(name)
-        warnings.warn(message, DeprecationWarning, stacklevel=3)
-
-
-def run_read_load(
-    server: ObjectServer,
-    gen: GeneratedDatabase,
-    users: int = 2,
-    operations_per_user: int = 50,
-    seed: int = 1989,
-) -> ParallelLoadResult:
-    """Deprecated: use :meth:`MultiUserHarness.run_read_mix`."""
-    _warn_shim(
-        "run_read_load",
-        "run_read_load is deprecated; use"
-        " MultiUserHarness(server, gen, ...).run_read_mix(...)",
-    )
-    harness = MultiUserHarness(server, gen, users=users, seed=seed)
-    return harness.run_read_mix(operations_per_user=operations_per_user)
-
-
-def run_update_load(
-    server: ObjectServer,
-    gen: GeneratedDatabase,
-    users: int = 2,
-    edits_per_user: int = 3,
-    seed: int = 1990,
-) -> UpdateLoadResult:
-    """Deprecated: use :meth:`MultiUserHarness.run_disjoint_updates`."""
-    _warn_shim(
-        "run_update_load",
-        "run_update_load is deprecated; use"
-        " MultiUserHarness(server, gen, ...).run_disjoint_updates(...)",
-    )
-    harness = MultiUserHarness(server, gen, users=users, seed=seed)
-    return harness.run_disjoint_updates(edits_per_user=edits_per_user)

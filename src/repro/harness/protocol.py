@@ -122,10 +122,16 @@ def _reopen_cold(db: HyperModelDatabase) -> None:
 def _prepare_inputs(
     spec: OperationSpec,
     gen: GeneratedDatabase,
-    rng: random.Random,
+    seed: int,
     db: HyperModelDatabase,
     repetitions: int,
 ) -> List[tuple]:
+    """Draw one op's inputs for every repetition.
+
+    The PRNG is seeded from a string, so the draw is the same in every
+    process whatever ``PYTHONHASHSEED`` is.
+    """
+    rng = random.Random(f"{seed}:{spec.op_id}")
     if spec.same_input_every_repetition:
         single = spec.make_input(gen, rng, db)
         return [single] * repetitions
@@ -190,14 +196,13 @@ def run_operation_sequence(
         A :class:`ColdWarmResult` with ms-per-node statistics.
     """
     config = config or gen.config
-    rng = random.Random((seed * 1_000_003) ^ hash(spec.op_id))
     clock = getattr(db, "simulated_clock", None)
     instr: Instrumentation = getattr(db, "instrumentation", NO_OP) or NO_OP
 
     # (a) fresh open, then input preparation (untimed).
     _reopen_cold(db)
     ops = Operations(db, config)
-    inputs = _prepare_inputs(spec, gen, rng, db, repetitions)
+    inputs = _prepare_inputs(spec, gen, seed, db, repetitions)
 
     # (b) cold run, with a counter snapshot around it.
     before_cold = instr.snapshot()

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Protocol, Tuple
 
 from repro.engine import serializer
 from repro.engine.wal import PUT, WriteAheadLog, put_record
@@ -38,9 +38,39 @@ _UID_BYTES = 8
 #: Approximate bytes of a request/reply envelope beyond the round trip.
 _PROBE_BYTES = 16
 
-#: Relations the push-down verbs understand, with the record keys that
-#: hold their forward and reverse adjacency.
-_RELATIONS = ("children", "parts", "refTo")
+
+def _ref_targets(record: Dict[str, Any]) -> List[int]:
+    return [dst for dst, _f, _t in record["refTo"]]
+
+
+def _structural(record: Dict[str, Any]) -> List[int]:
+    """Readahead adjacency: children, then parts."""
+    return record["children"] + record["parts"]
+
+
+#: Relations the push-down verbs understand, each with its adjacency.
+_NEIGHBORS = {
+    "children": lambda record: record["children"],
+    "parts": lambda record: record["parts"],
+    "refTo": _ref_targets,
+}
+
+
+def _neighbors(relation: str):
+    """The adjacency function of one push-down relation."""
+    try:
+        return _NEIGHBORS[relation]
+    except KeyError:
+        raise InvalidOperationError(
+            f"traverse does not understand relation {relation!r}"
+        ) from None
+
+
+def _check_depth(depth: Optional[int]) -> None:
+    if depth is not None and depth < 0:
+        raise InvalidOperationError(
+            f"readahead depth cannot be negative, got {depth}"
+        )
 
 
 def stale_reads(reads, version_of):
@@ -78,13 +108,142 @@ class ServerStats:
 
     def reset(self) -> None:
         """Zero all counters."""
-        self.fetches = self.stores = self.probes = 0
-        self.batch_fetches = self.batched_objects = 0
-        self.traversals = self.readaheads = self.pushdown_objects = 0
-        self.queries = self.scans = 0
-        self.commits = self.commit_conflicts = 0
-        self.prepares = self.decisions = 0
-        self.bytes_sent = self.bytes_received = 0
+        for field in dataclasses.fields(self):
+            setattr(self, field.name, 0)
+
+
+class ServerVerbs(Protocol):
+    """The request surface a workstation talks to.
+
+    :class:`~repro.backends.clientserver.ClientServerDatabase` and the
+    benchmark harnesses call exactly these members, and
+    :class:`ObjectServer`, :class:`~repro.sharding.router.ShardRouter`
+    and :class:`~repro.replication.router.ReplicaRouter` each implement
+    all of them with these signatures (pinned by a conformance test).
+    Declaration only: nothing inherits from it.
+    """
+
+    clock: SimulatedClock
+    stats: ServerStats
+    wal: Optional[WriteAheadLog]
+
+    # Request envelope, coherence and the charge seam.
+    def accept_trace_context(self, context: Optional[TraceContext]) -> None: ...
+    def take_reply_versions(self) -> Dict[int, int]: ...
+    def subscribe(self, cache) -> None: ...
+    def unsubscribe(self, cache) -> None: ...
+    def use_transport(self, transport): ...
+
+    # Record reads and closure push-down.
+    def fetch(self, uid: int) -> Dict[str, Any]: ...
+    def fetch_many(self, uids: List[int]) -> Dict[int, Dict[str, Any]]: ...
+    def traverse(
+        self,
+        root: int,
+        relation: str,
+        depth: Optional[int] = None,
+        limit: Optional[int] = None,
+    ) -> Dict[int, Dict[str, Any]]: ...
+    def readahead(
+        self, uids: List[int], depth: int = 1, limit: Optional[int] = None
+    ) -> Dict[int, Dict[str, Any]]: ...
+
+    # Writes.
+    def store(self, uid: int, record: Dict[str, Any], from_cache=None) -> None: ...
+    def commit_batch(
+        self,
+        writes: Dict[int, Dict[str, Any]],
+        reads: Dict[int, int],
+        lists: Optional[Dict[str, List[int]]] = None,
+        from_cache=None,
+    ) -> Dict[int, int]: ...
+
+    # Probes, server-evaluated queries and named lists.
+    def exists(self, uid: int) -> bool: ...
+    def range_query(self, attribute: str, low: int, high: int) -> List[int]: ...
+    def scan_structure(self, structure_id: int) -> List[int]: ...
+    def store_list(self, name: str, uids: List[int]) -> None: ...
+    def load_list(self, name: str) -> List[int]: ...
+
+    # Administration (uncharged).
+    def count(self, structure_id: int) -> int: ...
+    def export_records(self) -> Dict[int, Dict[str, Any]]: ...
+    def load_records(self, records: Dict[int, Dict[str, Any]]) -> None: ...
+    def __contains__(self, uid: int) -> bool: ...
+
+
+@contextlib.contextmanager
+def fan_out_transport(servers: List["ObjectServer"], transport):
+    """Swap charge transports on several servers at once.
+
+    Accepts one transport (the whole deployment behind one NIC), a
+    sequence with one lane per server, or a bundle exposing such a
+    sequence as ``.lanes`` (:class:`~repro.netsim.sim.LaneGroup`).
+    """
+    lanes = getattr(transport, "lanes", None)
+    if lanes is None:
+        if isinstance(transport, (list, tuple)):
+            lanes = list(transport)
+        else:
+            lanes = [transport] * len(servers)
+    if len(lanes) != len(servers):
+        raise InvalidOperationError(
+            f"{len(lanes)} transports for {len(servers)} servers"
+        )
+    with contextlib.ExitStack() as stack:
+        for server, lane in zip(servers, lanes):
+            stack.enter_context(server.use_transport(lane))
+        yield lanes
+
+
+class RouterBase:
+    """Plumbing shared by the routers that front several servers.
+
+    A router verb may issue several server requests; each carries the
+    caller's trace context, and the version stamps of every reply are
+    gathered for the caller to take.  Subclasses list their servers in
+    :meth:`_servers` (whose counters :attr:`stats` sums) and issue each
+    request through :meth:`_call`.
+    """
+
+    def __init__(self) -> None:
+        self._pending_trace: Optional[TraceContext] = None
+        self._reply_versions: Dict[int, int] = {}
+
+    def _servers(self) -> Iterable["ObjectServer"]:
+        raise NotImplementedError
+
+    @property
+    def stats(self) -> ServerStats:
+        """Request counters summed over every server (read-only)."""
+        total = ServerStats()
+        names = [field.name for field in dataclasses.fields(total)]
+        for server in self._servers():
+            for name in names:
+                value = getattr(total, name) + getattr(server.stats, name)
+                setattr(total, name, value)
+        return total
+
+    def accept_trace_context(self, context: Optional[TraceContext]) -> None:
+        """Stash the caller's trace context for this verb's requests."""
+        self._pending_trace = context
+
+    def take_reply_versions(self) -> Dict[int, int]:
+        """Consume the version stamps gathered across this verb's replies.
+
+        Stamps never collide: each uid has one owning shard, and a
+        replica's stamps are its primary's commit txids.
+        """
+        versions = self._reply_versions
+        self._reply_versions = {}
+        return versions
+
+    def _call(self, server: "ObjectServer", verb: str, *args, **kwargs):
+        """One server request carrying the verb's trace context."""
+        server.accept_trace_context(self._pending_trace)
+        result = getattr(server, verb)(*args, **kwargs)
+        self._reply_versions.update(server.take_reply_versions())
+        return result
 
 
 class ObjectServer:
@@ -256,14 +415,15 @@ class ObjectServer:
     # Every request charges exactly one round trip plus its payload.
     # Reply payloads follow **one documented model** shared by every
     # record-carrying verb (``fetch``, ``fetch_many``, ``traverse``,
-    # ``readahead``):
+    # ``readahead`` and their shard-local forms):
     #
     #     payload = envelope (_PROBE_BYTES) + Σ record_size(record)
     #
     # so a batch reply and a push-down reply carrying the *same* record
     # set charge the *same* simulated time (pinned by a regression test
-    # in ``tests/test_pushdown.py``).  Reference-only replies charge
-    # ``envelope + _UID_BYTES per uid`` instead.  Payload sizes land in
+    # in ``tests/test_pushdown.py``).  Reference-only replies (queries,
+    # scans, lists, border hand-offs) charge ``_UID_BYTES`` per uid
+    # instead.  Payload sizes land in
     # the ``backend.rpc.payload_bytes`` histogram (bytes, not ms) so
     # the wire-size distribution is inspectable next to the latency
     # distributions.
@@ -295,6 +455,28 @@ class ObjectServer:
     def _reply_payload(self, records) -> int:
         """Wire size of one record-carrying reply: envelope + records."""
         return _PROBE_BYTES + sum(self.record_size(r) for r in records)
+
+    def _reply(
+        self, verb: str, uids: List[int], extra_bytes: int = 0
+    ) -> Dict[int, Dict[str, Any]]:
+        """Ship the records of ``uids`` as one charged, stamped reply.
+
+        The tail every multi-record verb shares: isolated copies in
+        ``uids`` order, the payload (plus ``extra_bytes`` of hand-off
+        references) on the byte counters and the clock, and the version
+        stamps of what was shipped.
+        """
+        records = self._records
+        payload = (
+            self._reply_payload(records[uid] for uid in uids) + extra_bytes
+        )
+        out = {uid: self._isolate(records[uid]) for uid in uids}
+        self.stats.bytes_sent += payload
+        self._instr.count("backend.rpc.bytes_sent", payload)
+        self._instr.count("backend.rpc.batched_objects", len(uids))
+        self._charge(payload, verb)
+        self._stamp_reply_versions(uids)
+        return out
 
     def _stamp_reply_versions(self, uids) -> None:
         """Record the versions the reply's records were shipped at."""
@@ -407,46 +589,18 @@ class ObjectServer:
             if missing is not None:
                 self._charge(_PROBE_BYTES, "fetch_many")
                 raise NodeNotFoundError(missing)
-            payload = self._reply_payload(
-                self._records[uid] for uid in unique
-            )
-            out: Dict[int, Dict[str, Any]] = {
-                uid: self._isolate(self._records[uid]) for uid in unique
-            }
             self.stats.batched_objects += len(unique)
-            self.stats.bytes_sent += payload
-            self._instr.count("backend.rpc.bytes_sent", payload)
-            self._instr.count("backend.rpc.batched_objects", len(unique))
-            self._charge(payload, "fetch_many")
-            self._stamp_reply_versions(unique)
-            return out
+            return self._reply("fetch_many", unique)
 
     # ------------------------------------------------------------------
     # Closure push-down (query shipping instead of data shipping)
     # ------------------------------------------------------------------
 
-    def _neighbors(
-        self, record: Dict[str, Any], relation: str, direction: str
-    ) -> List[int]:
-        """Adjacent uids of one record along ``relation``/``direction``."""
-        if direction == "forward":
-            if relation == "refTo":
-                return [dst for dst, _f, _t in record["refTo"]]
-            return list(record[relation])
-        if relation == "children":
-            parent = record["parent"]
-            return [parent] if parent else []
-        if relation == "parts":
-            return list(record["partOf"])
-        return list(record["refFrom"])
-
     def traverse(
         self,
         root: int,
         relation: str,
-        direction: str = "forward",
         depth: Optional[int] = None,
-        with_records: bool = True,
         limit: Optional[int] = None,
     ) -> Dict[int, Dict[str, Any]]:
         """Run a closure BFS **at the server**; one size-charged reply.
@@ -463,14 +617,9 @@ class ObjectServer:
             root: start node; raises :class:`NodeNotFoundError` if
                 unknown (the request is still charged — it happened).
             relation: ``"children"``, ``"parts"`` or ``"refTo"``.
-            direction: ``"forward"`` follows the relation,
-                ``"reverse"`` its inverse (parent / partOf / refFrom).
             depth: maximum BFS depth (``None`` = unbounded; the
                 attributed-association closures pass their run-time
                 depth, 25 by default).
-            with_records: ship the visited records (the push-down fast
-                path) or just their uids (a reference-only closure,
-                charged like a range query).
             limit: stop collecting after this many nodes — the client
                 passes its workstation-cache capacity so a reply never
                 ships records the cache could not hold; the BFS prefix
@@ -479,65 +628,21 @@ class ObjectServer:
 
         Returns:
             ``{uid: record}`` in BFS visit order (insertion order of
-            the dict) when ``with_records``; ``{uid: None}`` in visit
-            order otherwise.  Dangling edge targets (uids the server
-            does not hold) are skipped silently — the client-side
-            replay resolves them through its own read path.
+            the dict).  Dangling edge targets (uids the server does not
+            hold) are skipped silently and not charged — the
+            client-side replay resolves them through its own read path.
         """
         with self._serve("traverse"):
             self.stats.traversals += 1
-            if relation not in _RELATIONS:
-                raise InvalidOperationError(
-                    f"traverse does not understand relation {relation!r}"
-                )
-            if direction not in ("forward", "reverse"):
-                raise InvalidOperationError(
-                    f"traverse direction must be forward or reverse,"
-                    f" got {direction!r}"
-                )
+            neighbors = _neighbors(relation)
             if root not in self._records:
                 self._charge(_PROBE_BYTES, "traverse")
                 raise NodeNotFoundError(root)
-            order: List[int] = [root]
-            seen = {root}
-            frontier: List[int] = [root]
-            level = 0
-            full = limit is not None and len(order) >= limit
-            while frontier and not full and (depth is None or level < depth):
-                next_frontier: List[int] = []
-                for uid in frontier:
-                    for adj in self._neighbors(
-                        self._records[uid], relation, direction
-                    ):
-                        if adj in seen or adj not in self._records:
-                            continue
-                        seen.add(adj)
-                        order.append(adj)
-                        next_frontier.append(adj)
-                        if limit is not None and len(order) >= limit:
-                            full = True
-                            break
-                    if full:
-                        break
-                frontier = next_frontier
-                level += 1
-            if not with_records:
-                payload = _PROBE_BYTES + _UID_BYTES * len(order)
-                self.stats.bytes_sent += payload
-                self._instr.count("backend.rpc.bytes_sent", payload)
-                self._charge(payload, "traverse")
-                return {uid: None for uid in order}
-            payload = self._reply_payload(
-                self._records[uid] for uid in order
+            order, _dangling = self._scatter_bfs(
+                [(root, depth)], neighbors, limit
             )
-            out = {uid: self._isolate(self._records[uid]) for uid in order}
             self.stats.pushdown_objects += len(order)
-            self.stats.bytes_sent += payload
-            self._instr.count("backend.rpc.bytes_sent", payload)
-            self._instr.count("backend.rpc.batched_objects", len(order))
-            self._charge(payload, "traverse")
-            self._stamp_reply_versions(order)
-            return out
+            return self._reply("traverse", order)
 
     def readahead(
         self, uids: List[int], depth: int = 1, limit: Optional[int] = None
@@ -546,60 +651,22 @@ class ObjectServer:
 
         Expands each seed's structural neighbourhood — children *and*
         parts, breadth-first to ``depth`` levels — and returns every
-        distinct record found, in one size-charged reply.  The verb is
-        **speculative by contract**: unknown seeds and dangling edges
-        are skipped silently (an empty reply is a valid answer), so the
-        client can ask optimistically on a cold first touch without a
-        second error round trip.  Raising is the caller's business if
-        a seed it *required* is absent from the reply.
+        distinct record found (at most ``limit``, seeds first) in one
+        size-charged reply.  The verb is **speculative by contract**:
+        unknown seeds and dangling edges are skipped silently (an empty
+        reply is a valid answer), so the client can ask optimistically
+        on a cold first touch without a second error round trip.
+        Raising is the caller's business if a seed it *required* is
+        absent from the reply.
         """
         with self._serve("readahead"):
             self.stats.readaheads += 1
-            if depth < 0:
-                raise InvalidOperationError(
-                    f"readahead depth cannot be negative, got {depth}"
-                )
-            order: List[int] = []
-            seen = set()
-            frontier: List[int] = []
-            for uid in uids:
-                if uid in seen or uid not in self._records:
-                    continue
-                seen.add(uid)
-                order.append(uid)
-                frontier.append(uid)
-            level = 0
-            full = limit is not None and len(order) >= limit
-            while frontier and not full and level < depth:
-                next_frontier: List[int] = []
-                for uid in frontier:
-                    record = self._records[uid]
-                    for adj in list(record["children"]) + list(
-                        record["parts"]
-                    ):
-                        if adj in seen or adj not in self._records:
-                            continue
-                        seen.add(adj)
-                        order.append(adj)
-                        next_frontier.append(adj)
-                        if limit is not None and len(order) >= limit:
-                            full = True
-                            break
-                    if full:
-                        break
-                frontier = next_frontier
-                level += 1
-            payload = self._reply_payload(
-                self._records[uid] for uid in order
+            _check_depth(depth)
+            order, _dangling = self._scatter_bfs(
+                [(uid, depth) for uid in uids], _structural, limit
             )
-            out = {uid: self._isolate(self._records[uid]) for uid in order}
             self.stats.pushdown_objects += len(order)
-            self.stats.bytes_sent += payload
-            self._instr.count("backend.rpc.bytes_sent", payload)
-            self._instr.count("backend.rpc.batched_objects", len(order))
-            self._charge(payload, "readahead")
-            self._stamp_reply_versions(order)
-            return out
+            return self._reply("readahead", order)
 
     def store(
         self, uid: int, record: Dict[str, Any], from_cache=None
@@ -712,7 +779,11 @@ class ObjectServer:
         reachable along several paths keeps the largest remaining
         budget and is re-expanded when a later path improves it, so
         the union of all shard-local walks equals the single-server
-        BFS closure.
+        BFS closure.  On an unsharded server every border is a dangling
+        edge.  At most ``limit`` uids are visited, seeds first.
+
+        Returns ``(visited uids, [(border uid, remaining budget)])``,
+        both in discovery order.
         """
         inf = float("inf")
         order: List[int] = []
@@ -766,14 +837,12 @@ class ObjectServer:
             (uid, None if b == inf else int(b))
             for uid, b in borders.items()
         ]
-        return order, border_list, full
+        return order, border_list
 
     def traverse_shard(
         self,
         seeds: List[Tuple[int, Optional[int]]],
         relation: str,
-        direction: str = "forward",
-        with_records: bool = True,
         limit: Optional[int] = None,
     ):
         """One shard-local round of a scatter-gather closure BFS.
@@ -785,50 +854,22 @@ class ObjectServer:
         O(nodes).  Unknown seeds are skipped silently (the speculative
         contract of :meth:`readahead`): a seed uid owned by this shard
         per the placement map but absent from its records is simply a
-        dangling edge.  The reply charges the visited records (or a
-        uid each when ``with_records`` is false) **plus one uid per
-        border** — the hand-off references are real payload.
+        dangling edge.  The reply charges the visited records **plus
+        one uid per border** — the hand-off references are real
+        payload.
 
-        Returns ``({uid: record-or-None}, [(border uid, remaining
-        budget)])``, both in discovery order.
+        Returns ``({uid: record}, [(border uid, remaining budget)])``,
+        both in discovery order.
         """
         with self._serve("traverse_shard"):
             self.stats.traversals += 1
-            if relation not in _RELATIONS:
-                raise InvalidOperationError(
-                    f"traverse does not understand relation {relation!r}"
-                )
-            if direction not in ("forward", "reverse"):
-                raise InvalidOperationError(
-                    f"traverse direction must be forward or reverse,"
-                    f" got {direction!r}"
-                )
-            order, borders, _full = self._scatter_bfs(
-                seeds,
-                lambda record: self._neighbors(record, relation, direction),
-                limit,
-            )
-            border_bytes = _UID_BYTES * len(borders)
-            if not with_records:
-                payload = (
-                    _PROBE_BYTES + _UID_BYTES * len(order) + border_bytes
-                )
-                self.stats.bytes_sent += payload
-                self._instr.count("backend.rpc.bytes_sent", payload)
-                self._charge(payload, "traverse_shard")
-                return {uid: None for uid in order}, borders
-            payload = (
-                self._reply_payload(self._records[uid] for uid in order)
-                + border_bytes
-            )
-            out = {uid: self._isolate(self._records[uid]) for uid in order}
+            neighbors = _neighbors(relation)
+            order, borders = self._scatter_bfs(seeds, neighbors, limit)
             self.stats.pushdown_objects += len(order)
-            self.stats.bytes_sent += payload
-            self._instr.count("backend.rpc.bytes_sent", payload)
-            self._instr.count("backend.rpc.batched_objects", len(order))
-            self._charge(payload, "traverse_shard")
-            self._stamp_reply_versions(order)
-            return out, borders
+            reply = self._reply(
+                "traverse_shard", order, _UID_BYTES * len(borders)
+            )
+            return reply, borders
 
     def readahead_shard(
         self,
@@ -846,28 +887,13 @@ class ObjectServer:
         with self._serve("readahead_shard"):
             self.stats.readaheads += 1
             for _uid, budget in seeds:
-                if budget is not None and budget < 0:
-                    raise InvalidOperationError(
-                        f"readahead depth cannot be negative, got {budget}"
-                    )
-            order, borders, _full = self._scatter_bfs(
-                seeds,
-                lambda record: list(record["children"])
-                + list(record["parts"]),
-                limit,
-            )
-            payload = (
-                self._reply_payload(self._records[uid] for uid in order)
-                + _UID_BYTES * len(borders)
-            )
-            out = {uid: self._isolate(self._records[uid]) for uid in order}
+                _check_depth(budget)
+            order, borders = self._scatter_bfs(seeds, _structural, limit)
             self.stats.pushdown_objects += len(order)
-            self.stats.bytes_sent += payload
-            self._instr.count("backend.rpc.bytes_sent", payload)
-            self._instr.count("backend.rpc.batched_objects", len(order))
-            self._charge(payload, "readahead_shard")
-            self._stamp_reply_versions(order)
-            return out, borders
+            reply = self._reply(
+                "readahead_shard", order, _UID_BYTES * len(borders)
+            )
+            return reply, borders
 
     # ------------------------------------------------------------------
     # Two-phase commit (participant side; the ShardRouter coordinates)
@@ -1186,18 +1212,6 @@ class ObjectServer:
             self.stats.bytes_sent += size
             self._instr.count("backend.rpc.bytes_sent", size)
             self._charge(size)
-            return result
-
-    def referrers_of(self, uid: int) -> List[int]:
-        """Server-side inverse-reference query (op 08's index)."""
-        with self._serve("referrers_of"):
-            self.stats.queries += 1
-            result = [
-                src
-                for src, record in self._records.items()
-                if any(dst == uid for dst, _f, _t in record["refTo"])
-            ]
-            self._charge(_PROBE_BYTES + _UID_BYTES * len(result))
             return result
 
     # ------------------------------------------------------------------

@@ -35,7 +35,6 @@ replies validate at the primary exactly as primary-served reads would.
 
 from __future__ import annotations
 
-import contextlib
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.vfs import MemoryVFS
@@ -52,7 +51,7 @@ from repro.errors import InvalidOperationError
 from repro.netsim.config import ReplicationConfig
 from repro.netsim.faults import FaultModel
 from repro.netsim.latency import LatencyModel, SimulatedClock
-from repro.netsim.server import ObjectServer
+from repro.netsim.server import ObjectServer, fan_out_transport
 from repro.obs import Instrumentation, resolve
 
 
@@ -420,7 +419,6 @@ class ReplicationGroup:
     def __contains__(self, uid: int) -> bool:
         return uid in self.primary
 
-    @contextlib.contextmanager
     def use_transport(self, transport):
         """Swap charge transports on the primary and every replica.
 
@@ -431,17 +429,4 @@ class ReplicationGroup:
         servers = [self.primary] + [
             s.server for s in self._states if not s.promoted
         ]
-        lanes = getattr(transport, "lanes", None)
-        if lanes is None:
-            if isinstance(transport, (list, tuple)):
-                lanes = list(transport)
-            else:
-                lanes = [transport] * len(servers)
-        if len(lanes) != len(servers):
-            raise InvalidOperationError(
-                f"{len(lanes)} transports for {len(servers)} servers"
-            )
-        with contextlib.ExitStack() as stack:
-            for server, lane in zip(servers, lanes):
-                stack.enter_context(server.use_transport(lane))
-            yield lanes
+        return fan_out_transport(servers, transport)

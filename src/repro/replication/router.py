@@ -1,6 +1,7 @@
 """The replica router: one client's read-scaled view of the group.
 
-:class:`ReplicaRouter` presents the same verb surface as a single
+:class:`ReplicaRouter` implements the
+:class:`~repro.netsim.server.ServerVerbs` surface of a single
 :class:`~repro.netsim.server.ObjectServer`, so
 :class:`~repro.backends.clientserver.ClientServerDatabase` plugs it in
 as its ``server`` unchanged.  Behind the surface:
@@ -14,7 +15,7 @@ as its ``server`` unchanged.  Behind the surface:
   holds unconditionally while everything else enjoys bounded-staleness
   reads off the primary's lane.
 * **Writes and everything non-read** (``store``, ``commit_batch``,
-  probes, queries, named lists, 2PC verbs, admin) go to the primary;
+  probes, queries, named lists, admin) go to the primary;
   a successful write advances the session token to the LSN the commit
   shipped at.
 * **Policies** — ``round_robin`` rotates the eligible set per client;
@@ -38,12 +39,12 @@ from typing import Any, Dict, List, Optional
 from repro.engine.wal import WriteAheadLog
 from repro.errors import ConfigurationError
 from repro.netsim.config import REPLICA_POLICIES
-from repro.netsim.server import ObjectServer, ServerStats
-from repro.obs import Instrumentation, TraceContext, resolve
+from repro.netsim.server import ObjectServer, RouterBase
+from repro.obs import Instrumentation, resolve
 from repro.replication.group import ReplicationGroup
 
 
-class ReplicaRouter:
+class ReplicaRouter(RouterBase):
     """Session-consistent read routing over a shared replication group.
 
     Args:
@@ -63,6 +64,7 @@ class ReplicaRouter:
             raise ConfigurationError(
                 f"policy must be one of {REPLICA_POLICIES}, got {policy!r}"
             )
+        super().__init__()
         self.group = group
         self.policy = policy
         self.instrumentation = (
@@ -80,12 +82,13 @@ class ReplicaRouter:
         self.force_primary = False
         self._generation = group.generation
         self._rr = 0
-        self._pending_trace: Optional[TraceContext] = None
-        self._reply_versions: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
-    # ObjectServer surface: plumbing
+    # Server surface: plumbing
     # ------------------------------------------------------------------
+
+    def _servers(self) -> List[ObjectServer]:
+        return [self.group.primary] + self.group.replicas
 
     @property
     def clock(self):
@@ -98,20 +101,6 @@ class ReplicaRouter:
     @property
     def wal(self) -> Optional[WriteAheadLog]:
         return self.group.wal
-
-    @property
-    def stats(self) -> ServerStats:
-        """Aggregated request counters across the whole group."""
-        total = ServerStats()
-        servers = [self.group.primary] + self.group.replicas
-        for server in servers:
-            for field in total.__dataclass_fields__:
-                setattr(
-                    total,
-                    field,
-                    getattr(total, field) + getattr(server.stats, field),
-                )
-        return total
 
     def trace_lane_metadata(self) -> Dict[str, Dict[str, object]]:
         """Per-lane metadata for the Chrome trace export (the servers
@@ -131,20 +120,6 @@ class ReplicaRouter:
             }
         return meta
 
-    def accept_trace_context(self, context: Optional[TraceContext]) -> None:
-        self._pending_trace = context
-
-    def take_reply_versions(self) -> Dict[int, int]:
-        """Version stamps from whichever server answered this verb.
-
-        Replica stamps are the origin commit txids (apply mirrors
-        them), so a read set mixing replica- and primary-served reads
-        validates consistently at the primary.
-        """
-        versions = self._reply_versions
-        self._reply_versions = {}
-        return versions
-
     def subscribe(self, cache) -> None:
         self.group.subscribe(cache)
 
@@ -153,12 +128,6 @@ class ReplicaRouter:
 
     def use_transport(self, transport):
         return self.group.use_transport(transport)
-
-    def _call(self, server: ObjectServer, verb: str, *args, **kwargs):
-        server.accept_trace_context(self._pending_trace)
-        result = getattr(server, verb)(*args, **kwargs)
-        self._reply_versions.update(server.take_reply_versions())
-        return result
 
     # ------------------------------------------------------------------
     # Read routing
@@ -221,9 +190,7 @@ class ReplicaRouter:
         self,
         root: int,
         relation: str,
-        direction: str = "forward",
         depth: Optional[int] = None,
-        with_records: bool = True,
         limit: Optional[int] = None,
     ) -> Dict[int, Dict[str, Any]]:
         return self._call(
@@ -231,9 +198,7 @@ class ReplicaRouter:
             "traverse",
             root,
             relation,
-            direction=direction,
             depth=depth,
-            with_records=with_records,
             limit=limit,
         )
 
@@ -282,7 +247,7 @@ class ReplicaRouter:
         return applied
 
     # ------------------------------------------------------------------
-    # Primary passthrough (probes, queries, lists, 2PC, admin)
+    # Primary passthrough (probes, queries, lists, admin)
     # ------------------------------------------------------------------
 
     def exists(self, uid: int) -> bool:
@@ -296,31 +261,11 @@ class ReplicaRouter:
     def scan_structure(self, structure_id: int) -> List[int]:
         return self._call(self.group.primary, "scan_structure", structure_id)
 
-    def referrers_of(self, uid: int) -> List[int]:
-        return self._call(self.group.primary, "referrers_of", uid)
-
     def store_list(self, name: str, uids: List[int]) -> None:
         return self._call(self.group.primary, "store_list", name, uids)
 
     def load_list(self, name: str) -> List[int]:
         return self._call(self.group.primary, "load_list", name)
-
-    def prepare_batch(self, *args, **kwargs):
-        return self._call(self.group.primary, "prepare_batch", *args, **kwargs)
-
-    def commit_prepared(self, txid: int):
-        result = self._call(self.group.primary, "commit_prepared", txid)
-        self._note_write()
-        return result
-
-    def abort_prepared(self, txid: int):
-        return self._call(self.group.primary, "abort_prepared", txid)
-
-    def in_doubt(self) -> List[int]:
-        return self.group.primary.in_doubt()
-
-    def recover_from_wal(self) -> int:
-        return self.group.primary.recover_from_wal()
 
     def count(self, structure_id: int) -> int:
         return self.group.count(structure_id)

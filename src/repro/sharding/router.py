@@ -1,6 +1,7 @@
 """The shard router: client-side fan-out over N object servers.
 
-:class:`ShardRouter` presents the *same verb surface* as a single
+:class:`ShardRouter` implements the
+:class:`~repro.netsim.server.ServerVerbs` surface of a single
 :class:`~repro.netsim.server.ObjectServer`, so
 :class:`~repro.backends.clientserver.ClientServerDatabase` plugs it in
 as its ``server`` unchanged — every workstation-cache, retry and
@@ -39,7 +40,6 @@ a logged COMMIT means deliver ``commit_prepared``, anything else
 
 from __future__ import annotations
 
-import contextlib
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.wal import WriteAheadLog
@@ -53,7 +53,7 @@ from repro.errors import (
 from repro.netsim.config import ShardConfig
 from repro.netsim.faults import FaultModel
 from repro.netsim.latency import LatencyModel, SimulatedClock
-from repro.netsim.server import ObjectServer
+from repro.netsim.server import ObjectServer, RouterBase, fan_out_transport
 from repro.obs import Instrumentation, TraceContext, resolve
 from repro.sharding.placement import Placement, _digest, make_placement
 
@@ -69,7 +69,7 @@ def _budget(value: Optional[int]) -> float:
     return float("inf") if value is None else float(value)
 
 
-class ShardRouter:
+class ShardRouter(RouterBase):
     """Coordinator + scatter-gather fan-out over N shard servers.
 
     Args:
@@ -115,6 +115,7 @@ class ShardRouter:
         rpc_retries: int = 4,
         rpc_backoff_seconds: float = 0.002,
     ) -> None:
+        super().__init__()
         self.config = config
         self.instrumentation = resolve(instrumentation)
         self._instr = self.instrumentation
@@ -157,8 +158,6 @@ class ShardRouter:
         if decision_log is not None:
             for record in decision_log.read_all():
                 self._txid = max(self._txid, record.txid)
-        self._pending_trace: Optional[TraceContext] = None
-        self._reply_versions: Dict[int, int] = {}
         # Per-shard in-doubt gauge: how many transactions each shard
         # holds prepared-but-undecided right now.  Evaluated only at
         # flight-recorder sample time (in_doubt() allocates a list).
@@ -204,28 +203,11 @@ class ShardRouter:
             )
 
     # ------------------------------------------------------------------
-    # ObjectServer surface: plumbing
+    # Server surface: plumbing
     # ------------------------------------------------------------------
 
-    def accept_trace_context(self, context: Optional[TraceContext]) -> None:
-        """Stash the caller's trace context for this verb's fan-out.
-
-        Unlike the single server (one request, one context), a router
-        verb issues several shard requests; each inherits the same
-        client context, so the fan-out appears as sibling server spans
-        under one client RPC span.
-        """
-        self._pending_trace = context
-
-    def take_reply_versions(self) -> Dict[int, int]:
-        """Version stamps accumulated across this verb's shard replies.
-
-        Shard version counters are independent; stamps never collide
-        because each uid has exactly one owning shard.
-        """
-        versions = self._reply_versions
-        self._reply_versions = {}
-        return versions
+    def _servers(self) -> List[ObjectServer]:
+        return self.shards
 
     def subscribe(self, cache) -> None:
         """Register a cache for invalidations from **every** shard.
@@ -242,7 +224,6 @@ class ShardRouter:
         for shard in self.shards:
             shard.unsubscribe(cache)
 
-    @contextlib.contextmanager
     def use_transport(self, transport):
         """Swap charge transports on every shard at once.
 
@@ -250,34 +231,7 @@ class ShardRouter:
         behind one NIC) or a per-shard sequence (independent lanes,
         see :func:`repro.netsim.sim.shard_lanes`).
         """
-        if isinstance(transport, (list, tuple)):
-            if len(transport) != len(self.shards):
-                raise InvalidOperationError(
-                    f"{len(transport)} transports for"
-                    f" {len(self.shards)} shards"
-                )
-            lanes = list(transport)
-        else:
-            lanes = [transport] * len(self.shards)
-        with contextlib.ExitStack() as stack:
-            for shard, lane in zip(self.shards, lanes):
-                stack.enter_context(shard.use_transport(lane))
-            yield lanes
-
-    @property
-    def stats(self):
-        """Aggregated request counters across all shards (read-only)."""
-        from repro.netsim.server import ServerStats
-
-        total = ServerStats()
-        for shard in self.shards:
-            for field in total.__dataclass_fields__:
-                setattr(
-                    total,
-                    field,
-                    getattr(total, field) + getattr(shard.stats, field),
-                )
-        return total
+        return fan_out_transport(self.shards, transport)
 
     @property
     def wal(self) -> Optional[WriteAheadLog]:
@@ -292,14 +246,6 @@ class ShardRouter:
         list names need one too)."""
         return _digest(f"list:{name}") % len(self.shards)
 
-    def _call(self, shard_index: int, verb: str, *args, **kwargs):
-        """One shard request carrying the verb's trace context."""
-        shard = self.shards[shard_index]
-        shard.accept_trace_context(self._pending_trace)
-        result = getattr(shard, verb)(*args, **kwargs)
-        self._reply_versions.update(shard.take_reply_versions())
-        return result
-
     def _call_with_retry(self, shard_index: int, verb: str, *args, **kwargs):
         """Bounded internal retry for 2PC phase RPCs.
 
@@ -311,7 +257,9 @@ class ShardRouter:
         attempt = 0
         while True:
             try:
-                return self._call(shard_index, verb, *args, **kwargs)
+                return self._call(
+                    self.shards[shard_index], verb, *args, **kwargs
+                )
             except NetworkError as fault:
                 if attempt >= self.rpc_retries:
                     raise RpcExhaustedError(
@@ -332,7 +280,7 @@ class ShardRouter:
     # ------------------------------------------------------------------
 
     def fetch(self, uid: int) -> Dict[str, Any]:
-        return self._call(self.placement.shard_of(uid), "fetch", uid)
+        return self._call(self._shard_of(uid), "fetch", uid)
 
     def fetch_many(self, uids: List[int]) -> Dict[int, Dict[str, Any]]:
         """One sub-batch round trip per owning shard, merged in the
@@ -345,15 +293,17 @@ class ShardRouter:
                 unique.append(uid)
         merged: Dict[int, Dict[str, Any]] = {}
         for shard_index, group in self.placement.partition(unique).items():
-            merged.update(self._call(shard_index, "fetch_many", group))
+            merged.update(
+                self._call(self.shards[shard_index], "fetch_many", group)
+            )
         return {uid: merged[uid] for uid in unique}
 
     def exists(self, uid: int) -> bool:
-        return self._call(self.placement.shard_of(uid), "exists", uid)
+        return self._call(self._shard_of(uid), "exists", uid)
 
     def store(self, uid: int, record: Dict[str, Any], from_cache=None) -> None:
         return self._call(
-            self.placement.shard_of(uid),
+            self._shard_of(uid),
             "store",
             uid,
             record,
@@ -436,9 +386,7 @@ class ShardRouter:
         self,
         root: int,
         relation: str,
-        direction: str = "forward",
         depth: Optional[int] = None,
-        with_records: bool = True,
         limit: Optional[int] = None,
     ) -> Dict[int, Dict[str, Any]]:
         """Scatter-gather closure BFS with border-OID hand-off.
@@ -452,12 +400,10 @@ class ShardRouter:
 
         def dispatch(shard_index, shard_seeds, remaining):
             return self._call(
-                shard_index,
+                self.shards[shard_index],
                 "traverse_shard",
                 shard_seeds,
                 relation,
-                direction=direction,
-                with_records=with_records,
                 limit=remaining,
             )
 
@@ -478,7 +424,10 @@ class ShardRouter:
 
         def dispatch(shard_index, shard_seeds, remaining):
             return self._call(
-                shard_index, "readahead_shard", shard_seeds, limit=remaining
+                self.shards[shard_index],
+                "readahead_shard",
+                shard_seeds,
+                limit=remaining,
             )
 
         return self._scatter(
@@ -530,7 +479,7 @@ class ShardRouter:
             index = participants[0]
             shard_writes, shard_reads, shard_lists = slices[index]
             return self._call(
-                index,
+                self.shards[index],
                 "commit_batch",
                 shard_writes,
                 shard_reads,
@@ -627,7 +576,9 @@ class ShardRouter:
         attempt = 0
         while True:
             try:
-                return self._call(shard_index, "commit_prepared", txid)
+                return self._call(
+                    self.shards[shard_index], "commit_prepared", txid
+                )
             except NetworkError as fault:
                 attempt += 1
                 if attempt >= _DECISION_ATTEMPTS:
@@ -690,33 +641,29 @@ class ShardRouter:
 
     def range_query(self, attribute: str, low: int, high: int) -> List[int]:
         result: List[int] = []
-        for index in range(len(self.shards)):
+        for shard in self.shards:
             result.extend(
-                self._call(index, "range_query", attribute, low, high)
+                self._call(shard, "range_query", attribute, low, high)
             )
         return result
 
     def scan_structure(self, structure_id: int) -> List[int]:
         result: List[int] = []
-        for index in range(len(self.shards)):
-            result.extend(self._call(index, "scan_structure", structure_id))
+        for shard in self.shards:
+            result.extend(self._call(shard, "scan_structure", structure_id))
         return sorted(result)
-
-    def referrers_of(self, uid: int) -> List[int]:
-        result: List[int] = []
-        for index in range(len(self.shards)):
-            result.extend(self._call(index, "referrers_of", uid))
-        return result
 
     # ------------------------------------------------------------------
     # Named lists
     # ------------------------------------------------------------------
 
     def store_list(self, name: str, uids: List[int]) -> None:
-        return self._call(self._list_shard(name), "store_list", name, uids)
+        home = self.shards[self._list_shard(name)]
+        return self._call(home, "store_list", name, uids)
 
     def load_list(self, name: str) -> List[int]:
-        return self._call(self._list_shard(name), "load_list", name)
+        home = self.shards[self._list_shard(name)]
+        return self._call(home, "load_list", name)
 
     # ------------------------------------------------------------------
     # Administration (uncharged, like the single server's)

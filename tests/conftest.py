@@ -32,18 +32,6 @@ BACKEND_NAMES = [
 ]
 
 
-@pytest.fixture(autouse=True)
-def _reset_warn_once_registries():
-    """Deprecation warnings fire once per process; tests that pin them
-    (``pytest.warns``) need each test to start with a clean slate."""
-    from repro.backends import clientserver
-    from repro.concurrency import multiuser
-
-    clientserver._WARNED_LEGACY.clear()
-    multiuser._WARNED_SHIMS.clear()
-    yield
-
-
 def make_backend(name: str, tmp_path, suffix: str = "db"):
     """Construct a closed backend of the given kind."""
     if name == "memory":

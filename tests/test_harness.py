@@ -465,3 +465,44 @@ class TestResetBetweenPasses:
             assert record.sequence not in cold_sequences
             if record.parent is not None:
                 assert record.parent not in cold_sequences
+
+
+class TestInputSeeding:
+    """Input selection is a function of the seed alone."""
+
+    _DRAW = """
+from repro.backends import create_backend
+from repro.core.config import HyperModelConfig
+from repro.core.generator import DatabaseGenerator
+from repro.core.operations import CATALOG
+from repro.harness.protocol import _prepare_inputs
+
+db = create_backend("clientserver")
+db.open()
+gen = DatabaseGenerator(HyperModelConfig(levels=3, seed=42)).generate(db)
+db.commit()
+for spec in CATALOG:
+    print(spec.op_id, _prepare_inputs(spec, gen, 1989, db, 3))
+"""
+
+    def test_inputs_do_not_depend_on_the_hash_seed(self):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        draws = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", self._DRAW],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            draws.append(done.stdout)
+        assert draws[0].count("\n") == len(CATALOG)
+        assert draws[0] == draws[1]

@@ -1,16 +1,11 @@
-"""Typed netsim configuration and the deprecated keyword surface."""
+"""Typed netsim configuration (``NetworkConfig`` and friends)."""
 
 import pytest
 
 from repro.backends import create_backend
 from repro.backends.clientserver import ClientServerDatabase
-from repro.core.config import HyperModelConfig
-from repro.core.generator import DatabaseGenerator
 from repro.errors import ConfigurationError
 from repro.netsim.config import NetworkConfig, SimConfig
-from repro.netsim.faults import FaultModel
-from repro.netsim.latency import LatencyModel
-from repro.netsim.server import ObjectServer
 
 
 class TestNetworkConfig:
@@ -66,33 +61,23 @@ class TestSimConfig:
 
 
 class TestDeprecatedKeywords:
-    """Old per-knob constructor kwargs warn but keep working."""
+    """The per-knob constructor kwargs are gone; ``network=`` is the way."""
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "name",
         [
-            {"cache_capacity": 64},
-            {"latency": LatencyModel(round_trip_seconds=0.002)},
-            {"fault_model": FaultModel(seed=1)},
-            {"rpc_retries": 2},
-            {"rpc_backoff_seconds": 0.001},
-            {"pushdown": False},
-            {"readahead_depth": 0},
+            "cache_capacity",
+            "latency",
+            "fault_model",
+            "rpc_retries",
+            "rpc_backoff_seconds",
+            "pushdown",
+            "readahead_depth",
         ],
     )
-    def test_each_legacy_kwarg_warns(self, kwargs):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            db = ClientServerDatabase(**kwargs)
-        # ... and the value landed in the typed config.
-        (name, value), = kwargs.items()
-        assert getattr(db.network, name) == value
-
-    def test_legacy_kwargs_override_network(self):
-        with pytest.warns(DeprecationWarning):
-            db = ClientServerDatabase(
-                network=NetworkConfig(cache_capacity=100), cache_capacity=7
-            )
-        assert db.network.cache_capacity == 7
+    def test_legacy_kwargs_are_rejected(self, name):
+        with pytest.raises(TypeError, match=name):
+            ClientServerDatabase(**{name: None})
 
     def test_network_config_does_not_warn(self, recwarn):
         ClientServerDatabase(network=NetworkConfig(cache_capacity=32))
@@ -112,38 +97,6 @@ class TestDeprecatedKeywords:
             "clientserver", network=NetworkConfig(readahead_depth=0)
         )
         assert db.readahead_depth == 0
-
-
-class TestDeprecatedLoadEntryPoints:
-    @pytest.fixture
-    def shared(self):
-        server = ObjectServer()
-        loader = ClientServerDatabase(server=server)
-        loader.open()
-        gen = DatabaseGenerator(
-            HyperModelConfig(levels=3, seed=17)
-        ).generate(loader)
-        loader.commit()
-        loader.close()
-        return server, gen
-
-    def test_run_read_load_warns(self, shared):
-        from repro.concurrency.multiuser import run_read_load
-
-        server, gen = shared
-        with pytest.warns(DeprecationWarning, match="run_read_mix"):
-            result = run_read_load(
-                server, gen, users=2, operations_per_user=5
-            )
-        assert result.total_operations == 10
-
-    def test_run_update_load_warns(self, shared):
-        from repro.concurrency.multiuser import run_update_load
-
-        server, gen = shared
-        with pytest.warns(DeprecationWarning, match="run_disjoint_updates"):
-            result = run_update_load(server, gen, users=2, edits_per_user=1)
-        assert result.all_edits_visible_everywhere
 
 
 class TestReplicationConfig:
@@ -183,62 +136,3 @@ class TestReplicationConfig:
                 sharding=ShardConfig(shards=2),
             )
 
-
-class TestWarnOnce:
-    """Deprecation warnings fire once per process, pinned by tests.
-
-    The conftest autouse fixture clears the registries per test, so
-    each test observes the once-per-process behaviour from a clean
-    slate without breaking the ``pytest.warns`` pins above.
-    """
-
-    def test_legacy_kwargs_warn_once_per_fingerprint(self):
-        import warnings
-
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            ClientServerDatabase(cache_capacity=64).close()
-            ClientServerDatabase(cache_capacity=64).close()
-        deprecations = [
-            w for w in seen if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        # A different legacy fingerprint is a different warning.
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            ClientServerDatabase(pushdown=False).close()
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in seen
-        )
-
-    def test_multiuser_shims_warn_once_each(self):
-        import warnings
-
-        from repro.concurrency.multiuser import (
-            run_read_load,
-            run_update_load,
-        )
-        from repro.core.config import HyperModelConfig
-        from repro.core.generator import DatabaseGenerator
-
-        server = ObjectServer()
-        loader = ClientServerDatabase(server=server)
-        loader.open()
-        gen = DatabaseGenerator(
-            HyperModelConfig(levels=2, seed=5)
-        ).generate(loader)
-        loader.commit()
-        loader.close()
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            run_read_load(server, gen, users=1, operations_per_user=2)
-            run_read_load(server, gen, users=1, operations_per_user=2)
-            run_update_load(server, gen, users=1, edits_per_user=1)
-        deprecations = [
-            str(w.message)
-            for w in seen
-            if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 2  # one per shim, not per call
-        assert any("run_read_mix" in m for m in deprecations)
-        assert any("run_disjoint_updates" in m for m in deprecations)

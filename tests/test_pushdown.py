@@ -3,7 +3,7 @@
 Five contracts under test:
 
 * the server verbs (``traverse`` / ``readahead``): BFS order, depth
-  and capacity bounds, direction, speculative error semantics, and the
+  and capacity bounds, speculative error semantics, and the
   **unified charge model** (a push-down reply and a batch reply
   carrying the same record set cost the same simulated time);
 * the client fast path: op 10 at level 4 costs exactly **one**
@@ -92,45 +92,12 @@ class TestTraverseVerb:
         capped = server.traverse(gen.root_uid, "children", limit=10)
         assert list(capped) == full[:10]
 
-    def test_reverse_children_climbs_to_the_root(self, served):
-        server, gen, _db = served
-        leaf = gen.uids_by_level[3][0]
-        reply = server.traverse(leaf, "children", direction="reverse")
-        order = list(reply)
-        assert order[0] == leaf
-        assert order[-1] == gen.root_uid
-        assert len(order) == 4  # leaf, two inner levels, root
-
-    def test_with_records_false_ships_uids_only_and_charges_less(
-        self, served
-    ):
-        server, gen, db = served
-        clock = db.simulated_clock
-        before = clock.now
-        uids_only = server.traverse(
-            gen.root_uid, "children", with_records=False
-        )
-        light = clock.now - before
-        before = clock.now
-        with_records = server.traverse(gen.root_uid, "children")
-        heavy = clock.now - before
-        assert set(uids_only.values()) == {None}
-        assert list(uids_only) == list(with_records)
-        assert light < heavy
-
     def test_unknown_root_raises_and_still_charges(self, served):
         server, _gen, db = served
         before = db.simulated_clock.now
         with pytest.raises(NodeNotFoundError):
             server.traverse(999999, "children")
         assert db.simulated_clock.now > before
-
-    def test_bad_relation_and_direction_are_rejected(self, served):
-        server, gen, _db = served
-        with pytest.raises(InvalidOperationError):
-            server.traverse(gen.root_uid, "parent")
-        with pytest.raises(InvalidOperationError):
-            server.traverse(gen.root_uid, "children", direction="sideways")
 
     def test_replies_are_isolated_copies(self, served):
         server, gen, _db = served
@@ -388,10 +355,6 @@ class TestPushdownFastPath:
 
         with pytest.raises(ConfigurationError):
             NetworkConfig(readahead_depth=-1)
-        # The deprecated keyword path validates through the same type.
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError):
-                ClientServerDatabase(readahead_depth=-1)
 
     def test_registry_ablation_disables_pushdown(self):
         with create_backend("clientserver-bfs", None) as db:
