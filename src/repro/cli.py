@@ -44,9 +44,29 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.config import HyperModelConfig
+
+
+def _csv(
+    cast: Callable[[str], Any],
+    low: Optional[float] = None,
+    high: Optional[float] = None,
+) -> Callable[[str], List[Any]]:
+    """argparse ``type=``: comma-separated ``cast`` values in [low, high]."""
+
+    def parse(text: str) -> List[Any]:
+        values = [cast(item.strip()) for item in text.split(",")]
+        for value in values:
+            if low is not None and value < low:
+                raise argparse.ArgumentTypeError(f"{value} is below {low}")
+            if high is not None and value > high:
+                raise argparse.ArgumentTypeError(f"{value} is above {high}")
+        return values
+
+    parse.__name__ = f"comma-separated {cast.__name__}"
+    return parse
 
 
 def _add_common_db_args(parser: argparse.ArgumentParser) -> None:
@@ -64,6 +84,27 @@ def _add_common_db_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--seed", type=int, default=19880301, help="generation seed"
     )
+
+
+def _add_bench_outputs(
+    parser: argparse.ArgumentParser,
+    seed: int,
+    out: str,
+    timeline_clock: Optional[str] = None,
+) -> None:
+    """``--seed``, the ``--out`` document and the ``--timeline`` JSONL."""
+    parser.add_argument("--seed", type=int, default=seed)
+    parser.add_argument(
+        "--out", default=out, help=f"output JSON path (default: {out})"
+    )
+    if timeline_clock is not None:
+        parser.add_argument(
+            "--timeline",
+            default=None,
+            metavar="JSONL",
+            help=f"write a flight-recorder timeline ({timeline_clock})"
+            " to this JSONL path",
+        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,14 +127,19 @@ def _build_parser() -> argparse.ArgumentParser:
     ) -> None:
         grid.add_argument(
             "--backends",
+            type=_csv(str),
             default=default_backends,
             help="comma-separated backend names",
         )
         grid.add_argument(
-            "--levels", default="4", help="comma-separated leaf levels"
+            "--levels",
+            type=_csv(int, low=1),
+            default="4",
+            help="comma-separated leaf levels",
         )
         grid.add_argument(
             "--ops",
+            type=_csv(str),
             default=None,
             help="comma-separated operation ids (default: all)",
         )
@@ -171,6 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     closure.add_argument(
         "--backends",
+        type=_csv(str),
         default=",".join(
             ("memory", "sqlite", "oodb", "clientserver")
         ),
@@ -182,11 +229,11 @@ def _build_parser() -> argparse.ArgumentParser:
     closure.add_argument(
         "--repetitions", type=int, default=5, help="runs per operation"
     )
-    closure.add_argument("--seed", type=int, default=19880301)
-    closure.add_argument(
-        "--out",
-        default="BENCH_closure.json",
-        help="output JSON path (default: BENCH_closure.json)",
+    _add_bench_outputs(
+        closure,
+        19880301,
+        "BENCH_closure.json",
+        "wall clock, one sample per repetition",
     )
     closure.add_argument(
         "--compare-pushdown",
@@ -198,6 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     closure.add_argument(
         "--levels",
+        type=_csv(int, low=1),
         default=None,
         metavar="L1,L2",
         help=(
@@ -214,13 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
             " cumulative reports to <out>.profile.txt"
         ),
     )
-    closure.add_argument(
-        "--timeline",
-        default=None,
-        metavar="JSONL",
-        help="write a flight-recorder timeline (wall clock, one sample"
-        " per repetition) to this JSONL path",
-    )
 
     multiuser = sub.add_parser(
         "bench-multiuser",
@@ -229,11 +270,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     multiuser.add_argument(
         "--clients",
+        type=_csv(int, low=1),
         default="1,2,4,8",
         help="comma-separated client counts (default: 1,2,4,8)",
     )
     multiuser.add_argument(
         "--conflict",
+        type=_csv(float, low=0.0, high=1.0),
         default="0.0,0.2",
         help="comma-separated conflict rates in [0,1] (default: 0.0,0.2)",
     )
@@ -258,7 +301,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default=8,
         help="size of the shared hot write set (default: 8)",
     )
-    multiuser.add_argument("--seed", type=int, default=1989)
+    _add_bench_outputs(
+        multiuser,
+        1989,
+        "BENCH_multiuser.json",
+        "virtual clock, deterministic, byte-identical across runs",
+    )
     multiuser.add_argument(
         "--group-commit-size",
         type=int,
@@ -266,23 +314,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="WAL commits per fsync in group-commit mode (default: 8)",
     )
     multiuser.add_argument(
-        "--out",
-        default="BENCH_multiuser.json",
-        help="output JSON path (default: BENCH_multiuser.json)",
-    )
-    multiuser.add_argument(
         "--trace",
         default=None,
         metavar="TRACE_JSON",
         help="export a Chrome trace-event JSON of the run's tail, one"
         " lane per client (see docs/observability.md)",
-    )
-    multiuser.add_argument(
-        "--timeline",
-        default=None,
-        metavar="JSONL",
-        help="write a flight-recorder timeline (virtual clock,"
-        " deterministic, byte-identical across runs) to this JSONL path",
     )
     multiuser.add_argument(
         "--timeline-cadence",
@@ -300,11 +336,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sharded.add_argument(
         "--shards",
+        type=_csv(int, low=1),
         default="1,2,4",
         help="comma-separated shard counts (default: 1,2,4)",
     )
     sharded.add_argument(
         "--placements",
+        type=_csv(str),
         default="hash,affine",
         help="comma-separated placement policies (default: hash,affine)",
     )
@@ -323,18 +361,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default=24,
         help="optimistic update transactions per cell (default: 24)",
     )
-    sharded.add_argument("--seed", type=int, default=1989)
-    sharded.add_argument(
-        "--out",
-        default="BENCH_sharded.json",
-        help="output JSON path (default: BENCH_sharded.json)",
-    )
-    sharded.add_argument(
-        "--timeline",
-        default=None,
-        metavar="JSONL",
-        help="write a flight-recorder timeline (virtual clock, one"
-        " sample per closure/update) to this JSONL path",
+    _add_bench_outputs(
+        sharded,
+        1989,
+        "BENCH_sharded.json",
+        "virtual clock, one sample per closure/update",
     )
     sharded.add_argument(
         "--deep-level",
@@ -359,17 +390,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     replica.add_argument(
         "--replicas",
+        type=_csv(int, low=1),
         default="1,2,4",
         help="comma-separated replica counts (default: 1,2,4)",
     )
     replica.add_argument(
         "--write-rates",
+        type=_csv(float, low=0.0),
         default="0,40",
         help="comma-separated writer rates in writes/s of virtual"
         " time; 0 = read-only (default: 0,40)",
     )
     replica.add_argument(
         "--lags",
+        type=_csv(float, low=0.0),
         default="0,0.02",
         help="comma-separated replica apply lags in seconds"
         " (default: 0,0.02)",
@@ -390,18 +424,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="closures in the replica-warm vs primary-warm cell"
         " (default: 6)",
     )
-    replica.add_argument("--seed", type=int, default=1989)
-    replica.add_argument(
-        "--out",
-        default="BENCH_replica.json",
-        help="output JSON path (default: BENCH_replica.json)",
-    )
-    replica.add_argument(
-        "--timeline",
-        default=None,
-        metavar="JSONL",
-        help="write a flight-recorder timeline (virtual clock,"
-        " deterministic) to this JSONL path",
+    _add_bench_outputs(
+        replica, 1989, "BENCH_replica.json", "virtual clock, deterministic"
     )
 
     dash = sub.add_parser(
@@ -462,17 +486,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default=512,
         help="object body size (bigger = more I/O ops per commit)",
     )
-    crash.add_argument("--seed", type=int, default=7)
+    _add_bench_outputs(crash, 7, "BENCH_crash.json")
     crash.add_argument(
         "--stride",
         type=int,
         default=1,
         help="test every Nth crash point (1 = exhaustive)",
-    )
-    crash.add_argument(
-        "--out",
-        default="BENCH_crash.json",
-        help="output JSON path (default: BENCH_crash.json)",
     )
     crash.add_argument(
         "--two-phase",
@@ -559,12 +578,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     maintain.add_argument(
         "--roots",
+        type=_csv(int),
         default=None,
         help="comma-separated root uniqueIds (gc only; default: node 1)",
     )
 
     sub.add_parser("r7", help="print the R7 latency-profile assessment")
 
+    # Handlers reject input argparse cannot check (exit 2, usage shown).
+    for command in sub.choices.values():
+        command.set_defaults(usage_error=command.error)
     return parser
 
 
@@ -580,20 +603,21 @@ def _cmd_info() -> int:
     return 0
 
 
-def _make_db(args: argparse.Namespace):
+def _generated(args: argparse.Namespace, **options: Any):
+    """Open ``--backend`` and generate the ``--level``/``--seed`` structure."""
     from repro.backends import create_backend
-
-    return create_backend(args.backend, args.path)
-
-
-def _cmd_generate(args: argparse.Namespace) -> int:
     from repro.core.generator import DatabaseGenerator
 
-    db = _make_db(args)
+    db = create_backend(args.backend, args.path, **options)
     db.open()
     config = HyperModelConfig(levels=args.level, seed=args.seed)
     gen = DatabaseGenerator(config).generate(db)
     db.commit()
+    return db, gen
+
+
+def _cmd_generate(args: argparse.Namespace) -> int:
+    db, gen = _generated(args)
     print(
         f"generated {gen.total_nodes} nodes "
         f"({len(gen.text_uids)} text, {len(gen.form_uids)} form) "
@@ -609,14 +633,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from repro.core.generator import DatabaseGenerator
     from repro.core.verification import verify_database
 
-    db = _make_db(args)
-    db.open()
-    config = HyperModelConfig(levels=args.level, seed=args.seed)
-    gen = DatabaseGenerator(config).generate(db)
-    db.commit()
+    db, gen = _generated(args)
     report = verify_database(db, gen)
     db.close()
     if report.ok:
@@ -641,9 +660,9 @@ def _cmd_run(args: argparse.Namespace, bench: bool = False) -> int:
             span_capacity=65536 if trace_out else 1024
         )
     config = RunnerConfig(
-        backends=args.backends.split(","),
-        levels=[int(level) for level in args.levels.split(",")],
-        op_ids=args.ops.split(",") if args.ops else None,
+        backends=args.backends,
+        levels=args.levels,
+        op_ids=args.ops,
         repetitions=args.repetitions,
         seed=args.seed,
         instrumentation=instrumentation,
@@ -704,24 +723,18 @@ def _cmd_bench_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.core.generator import DatabaseGenerator
     from repro.core.operations import CATALOG, Operations
-    from repro.backends import create_backend
     from repro.obs import Instrumentation
     from repro.obs.traceexport import write_chrome_trace
 
     instr = Instrumentation(span_capacity=65536)
-    db = create_backend(args.backend, args.path, instrumentation=instr)
-    db.open()
-    config = HyperModelConfig(levels=args.level, seed=args.seed)
-    gen = DatabaseGenerator(config).generate(db)
-    db.commit()
+    db, gen = _generated(args, instrumentation=instr)
     # Cold run: close/reopen so the trace shows faulting and round trips.
     db.close()
     db.open()
     instr.reset()
     spec = CATALOG.get(args.op)
-    ops = Operations(db, config)
+    ops = Operations(db, gen.config)
     root = db.lookup(gen.root_uid)
     with instr.span(f"trace.op{spec.op_id}"):
         spec.run(ops, (root,))
@@ -744,47 +757,65 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_closure(args: argparse.Namespace) -> int:
-    from repro.harness.batchbench import format_summary, write_closure_bench
+def _publish(
+    out: str, document: Dict[str, Any], summary: str, *notes: Optional[str]
+) -> None:
+    """Write ``document`` to ``out``; print its summary and side-file notes."""
+    from repro.harness.benchdiff import write_document
 
-    extra_levels = (
-        [int(lvl) for lvl in args.levels.split(",")] if args.levels else ()
+    write_document(out, document)
+    print(summary)
+    print(f"results written to {out}")
+    for note in notes:
+        if note:
+            print(note)
+
+
+def _timeline_note(
+    path: Optional[str], clock: str = "virtual clock, deterministic"
+) -> Optional[str]:
+    return f"timeline written to {path} ({clock})" if path else None
+
+
+def _cmd_bench_closure(args: argparse.Namespace) -> int:
+    from repro.harness.batchbench import (
+        format_summary,
+        run_closure_bench,
+        write_profile_report,
     )
-    document = write_closure_bench(
-        args.out,
-        backends=args.backends.split(","),
+
+    document = run_closure_bench(
+        backends=args.backends,
         level=args.level,
         repetitions=args.repetitions,
         seed=args.seed,
         compare_pushdown=args.compare_pushdown,
-        extra_levels=extra_levels,
+        extra_levels=args.levels or (),
         profile=args.profile,
         timeline=args.timeline,
     )
-    print(format_summary(document))
-    print(f"results written to {args.out}")
-    if document.get("profile_report"):
-        print(f"cold-pass profiles written to {args.out}.profile.txt")
-    if args.timeline:
-        print(f"timeline written to {args.timeline} (wall clock)")
+    profile_path = write_profile_report(document, args.out)
+    _publish(
+        args.out,
+        document,
+        format_summary(document),
+        profile_path and f"cold-pass profiles written to {profile_path}",
+        _timeline_note(args.timeline, "wall clock"),
+    )
     return 0
 
 
 def _cmd_bench_multiuser(args: argparse.Namespace) -> int:
-    from repro.harness.multiuserbench import (
-        format_summary,
-        write_multiuser_bench,
-    )
+    from repro.harness.multiuserbench import format_summary, run_multiuser_bench
 
     instr = None
     if args.trace:
         from repro.obs import Instrumentation
 
         instr = Instrumentation(span_capacity=65536)
-    document = write_multiuser_bench(
-        args.out,
-        clients=[int(n) for n in args.clients.split(",")],
-        conflict_rates=[float(r) for r in args.conflict.split(",")],
+    document = run_multiuser_bench(
+        clients=args.clients,
+        conflict_rates=args.conflict,
         level=args.level,
         transactions_per_client=args.transactions,
         reads_per_txn=args.reads_per_txn,
@@ -795,32 +826,36 @@ def _cmd_bench_multiuser(args: argparse.Namespace) -> int:
         timeline=args.timeline,
         timeline_cadence_seconds=args.timeline_cadence,
     )
-    print(format_summary(document))
-    print(f"results written to {args.out}")
-    if args.timeline:
-        print(
-            f"timeline written to {args.timeline}"
-            " (virtual clock, deterministic)"
-        )
+    trace_note = None
     if instr is not None:
         from repro.obs.traceexport import write_chrome_trace
 
         trace_doc = write_chrome_trace(instr, args.trace)
-        print(
+        trace_note = (
             f"trace written to {args.trace} "
             f"({trace_doc['otherData']['span_count']} spans,"
             " one lane per client)"
         )
+    _publish(
+        args.out,
+        document,
+        format_summary(document),
+        _timeline_note(args.timeline),
+        trace_note,
+    )
     return 0
 
 
 def _cmd_bench_sharded(args: argparse.Namespace) -> int:
-    from repro.harness.shardbench import format_summary, write_sharded_bench
+    from repro.harness.shardbench import format_summary, run_sharded_bench
+    from repro.netsim.config import PLACEMENT_POLICIES
 
-    document = write_sharded_bench(
-        args.out,
-        shard_counts=[int(n) for n in args.shards.split(",")],
-        placements=[p.strip() for p in args.placements.split(",")],
+    unknown = sorted(set(args.placements) - set(PLACEMENT_POLICIES))
+    if unknown:
+        args.usage_error(f"unknown placement policy: {', '.join(unknown)}")
+    document = run_sharded_bench(
+        shard_counts=args.shards,
+        placements=args.placements,
         level=args.level,
         closures=args.closures,
         updates=args.updates,
@@ -829,40 +864,34 @@ def _cmd_bench_sharded(args: argparse.Namespace) -> int:
         deep_level=args.deep_level,
         deep_closures=args.deep_closures,
     )
-    print(format_summary(document))
-    print(f"results written to {args.out}")
-    if args.timeline:
-        print(
-            f"timeline written to {args.timeline}"
-            " (virtual clock, deterministic)"
-        )
+    _publish(
+        args.out,
+        document,
+        format_summary(document),
+        _timeline_note(args.timeline),
+    )
     return 0
 
 
 def _cmd_bench_replica(args: argparse.Namespace) -> int:
-    from repro.harness.replicabench import (
-        format_summary,
-        write_replica_bench,
-    )
+    from repro.harness.replicabench import format_summary, run_replica_bench
 
-    document = write_replica_bench(
-        args.out,
-        replica_counts=[int(n) for n in args.replicas.split(",")],
-        write_rates=[float(r) for r in args.write_rates.split(",")],
-        lags=[float(s) for s in args.lags.split(",")],
+    document = run_replica_bench(
+        replica_counts=args.replicas,
+        write_rates=args.write_rates,
+        lags=args.lags,
         level=args.level,
         reads_per_reader=args.reads_per_reader,
         routing_closures=args.routing_closures,
         seed=args.seed,
         timeline=args.timeline,
     )
-    print(format_summary(document))
-    print(f"results written to {args.out}")
-    if args.timeline:
-        print(
-            f"timeline written to {args.timeline}"
-            " (virtual clock, deterministic)"
-        )
+    _publish(
+        args.out,
+        document,
+        format_summary(document),
+        _timeline_note(args.timeline),
+    )
     return 0
 
 
@@ -884,71 +913,61 @@ def _cmd_dash(args: argparse.Namespace) -> int:
 
 
 def _cmd_crashtest(args: argparse.Namespace) -> int:
-    from repro.harness.crashtest import (
-        CrashWorkload,
-        format_summary,
-        write_crash_bench,
-    )
+    from repro.harness import crashtest, replicacrash, shardcrash
 
-    workload = CrashWorkload(
-        transactions=args.transactions,
-        ops_per_txn=args.ops_per_txn,
-        payload_bytes=args.payload_bytes,
-        seed=args.seed,
-    )
-    document = write_crash_bench(
-        args.out, workload=workload, stride=args.stride
-    )
-    print(format_summary(document))
-    print(f"results written to {args.out}")
+    # Build every spec before the first drill runs, so bad input exits
+    # 2 with nothing written.
+    if args.stride < 1:
+        args.usage_error(f"--stride must be >= 1, got {args.stride}")
+    try:
+        single = crashtest.CrashWorkload(
+            transactions=args.transactions,
+            ops_per_txn=args.ops_per_txn,
+            payload_bytes=args.payload_bytes,
+            seed=args.seed,
+        )
+        two_phase = args.two_phase and shardcrash.TwoPhaseWorkload(
+            shards=args.two_phase_shards,
+            placement=args.two_phase_placement,
+            transactions=args.two_phase_transactions,
+            seed=args.seed,
+        )
+        failover = args.failover and replicacrash.FailoverWorkload(
+            replicas=args.failover_replicas,
+            transactions=args.failover_transactions,
+            seed=args.seed,
+        )
+    except ValueError as error:
+        args.usage_error(str(error))
+    document = crashtest.run_crash_matrix(single, stride=args.stride)
+    _publish(args.out, document, crashtest.format_summary(document))
     violations = document["violation_count"]
-    if args.two_phase:
-        from repro.harness import shardcrash
-
-        two_phase = shardcrash.write_two_phase_crash_bench(
-            args.two_phase_out,
-            workload=shardcrash.TwoPhaseWorkload(
-                shards=args.two_phase_shards,
-                placement=args.two_phase_placement,
-                transactions=args.two_phase_transactions,
-                seed=args.seed,
-            ),
+    if two_phase:
+        document = shardcrash.run_two_phase_crash_matrix(two_phase)
+        _publish(
+            args.two_phase_out, document, shardcrash.format_summary(document)
         )
-        print(shardcrash.format_summary(two_phase))
-        print(f"results written to {args.two_phase_out}")
-        violations += two_phase["violation_count"]
-    if args.failover:
-        from repro.harness import replicacrash
-
-        failover = replicacrash.write_failover_bench(
+        violations += document["violation_count"]
+    if failover:
+        document = replicacrash.run_failover_drill(
+            failover, trace_path=args.failover_trace
+        )
+        _publish(
             args.failover_out,
-            workload=replicacrash.FailoverWorkload(
-                replicas=args.failover_replicas,
-                transactions=args.failover_transactions,
-                seed=args.seed,
-            ),
-            trace_path=args.failover_trace,
+            document,
+            replicacrash.format_summary(document),
+            args.failover_trace
+            and f"trace written to {args.failover_trace}"
+            " (replication.failover = the failover gap)",
         )
-        print(replicacrash.format_summary(failover))
-        print(f"results written to {args.failover_out}")
-        if args.failover_trace:
-            print(
-                f"trace written to {args.failover_trace}"
-                " (replication.failover = the failover gap)"
-            )
-        violations += failover["violation_count"]
+        violations += document["violation_count"]
     return 1 if violations else 0
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    from repro.core.generator import DatabaseGenerator
     from repro.query import execute
 
-    db = _make_db(args)
-    db.open()
-    config = HyperModelConfig(levels=args.level, seed=args.seed)
-    DatabaseGenerator(config).generate(db)
-    db.commit()
+    db, _gen = _generated(args)
     result = execute(db, args.text)
     print(f"plan: {result.plan}")
     print(f"matched {len(result)} nodes ({result.nodes_examined} examined)")
@@ -1007,12 +1026,7 @@ def _cmd_maintain(args: argparse.Namespace) -> int:
             db.backup(args.target)
             print(f"snapshot written to {args.target}")
         else:  # gc
-            root_uids = (
-                [int(u) for u in args.roots.split(",")]
-                if args.roots
-                else [1]
-            )
-            roots = [db.lookup(uid) for uid in root_uids]
+            roots = [db.lookup(uid) for uid in args.roots or [1]]
             stats = db.collect_garbage(roots)
             print(
                 f"gc: {stats.collected} collected, {stats.live} live "

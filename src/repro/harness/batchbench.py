@@ -18,7 +18,6 @@ from __future__ import annotations
 import cProfile
 import dataclasses
 import io
-import json
 import os
 import pstats
 import statistics
@@ -29,6 +28,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.config import HyperModelConfig
 from repro.core.generator import DatabaseGenerator
 from repro.core.operations import CATALOG, Operations
+from repro.harness.grid import latency_leaf
 from repro.harness.provenance import provenance
 from repro.obs import FlightRecorder, Instrumentation, LatencyHistogram
 
@@ -286,11 +286,8 @@ def run_closure_bench(
                                     median_ms / nodes, 6
                                 ),
                                 counters=_reported(first_delta),
-                                p50_ms=round(hist.percentile(0.50), 4),
-                                p90_ms=round(hist.percentile(0.90), 4),
-                                p99_ms=round(hist.percentile(0.99), 4),
-                                max_ms=round(hist.maximum, 4),
                                 histogram=hist.to_dict(),
+                                **latency_leaf(hist),
                                 mode=mode,
                                 sim_ms=round(sim_ms, 4),
                                 sim_ms_per_node=round(sim_ms / nodes, 6),
@@ -341,44 +338,24 @@ def _profile_report(profiler: "cProfile.Profile", limit: int = 25) -> str:
     return buffer.getvalue()
 
 
-def write_closure_bench(
-    out_path: str,
-    backends: Sequence[str] = DEFAULT_BACKENDS,
-    level: int = 4,
-    repetitions: int = 5,
-    seed: int = 19880301,
-    compare_pushdown: bool = False,
-    extra_levels: Sequence[int] = (),
-    profile: bool = False,
-    timeline: Optional[str] = None,
-) -> Dict[str, object]:
-    """Run :func:`run_closure_bench` and write ``out_path`` as JSON.
+def write_profile_report(
+    document: Dict[str, object], out_path: str
+) -> Optional[str]:
+    """Move the document's cProfile reports to ``<out_path>.profile.txt``.
 
-    With ``profile=True`` the per-cell cProfile reports are written to
-    ``<out_path>.profile.txt`` next to the JSON (and stripped from the
-    document itself, so baselines stay diffable).
+    Returns that path, or ``None`` when the run was not profiled.  The
+    reports leave the document (baselines stay diffable), which names
+    the side file under ``profile_report`` instead.
     """
-    document = run_closure_bench(
-        backends=backends,
-        level=level,
-        repetitions=repetitions,
-        seed=seed,
-        compare_pushdown=compare_pushdown,
-        extra_levels=extra_levels,
-        profile=profile,
-        timeline=timeline,
-    )
     profiles = document.pop("profiles", None)
-    if profiles:
-        profile_path = out_path + ".profile.txt"
-        with open(profile_path, "w", encoding="utf-8") as handle:
-            for section, report in profiles.items():
-                handle.write(f"=== {section} ===\n{report}\n")
-        document["profile_report"] = os.path.basename(profile_path)
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return document
+    if not profiles:
+        return None
+    profile_path = out_path + ".profile.txt"
+    with open(profile_path, "w", encoding="utf-8") as handle:
+        for section, report in profiles.items():  # type: ignore[union-attr]
+            handle.write(f"=== {section} ===\n{report}\n")
+    document["profile_report"] = os.path.basename(profile_path)
+    return profile_path
 
 
 def format_summary(document: Dict[str, object]) -> str:

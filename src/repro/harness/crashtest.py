@@ -28,7 +28,6 @@ fails the build on any invariant violation.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import tempfile
 from typing import Any, Dict, List, Optional
@@ -37,13 +36,13 @@ from repro.engine.catalog import FieldDefinition
 from repro.engine.store import ObjectStore
 from repro.engine.vfs import FaultInjectingVFS, RealVFS, SimulatedCrash, VFS
 from repro.errors import StorageError
+from repro.harness.grid import crash_matrix
 from repro.harness.provenance import provenance
 
 __all__ = [
     "CrashWorkload",
     "CrashPointResult",
     "run_crash_matrix",
-    "write_crash_bench",
     "format_summary",
 ]
 
@@ -69,6 +68,10 @@ class CrashWorkload:
     ops_per_txn: int = 6
     payload_bytes: int = 512
     seed: int = 7
+
+    def __post_init__(self) -> None:
+        if self.transactions < 1:
+            raise ValueError("transactions must be >= 1")
 
 
 @dataclasses.dataclass
@@ -240,18 +243,6 @@ def _verify_cell(
         for index, snapshot in enumerate(reference)
         if recovered == snapshot
     ]
-    if not matches:
-        return CrashPointResult(
-            op=0,
-            torn=False,
-            crashed=True,
-            commits_returned=commits_returned,
-            recovered_snapshot=None,
-            violation=(
-                "atomicity: recovered state matches no post-commit"
-                f" snapshot ({len(recovered)} objects recovered)"
-            ),
-        )
     # The crash can only lose the one transaction that was in flight,
     # so the recovered snapshot must lie in a two-snapshot window.
     window = [
@@ -259,27 +250,27 @@ def _verify_cell(
         for k in matches
         if commits_returned <= k <= commits_returned + 1
     ]
-    if not window:
-        best = max(matches)
-        return CrashPointResult(
-            op=0,
-            torn=False,
-            crashed=True,
-            commits_returned=commits_returned,
-            recovered_snapshot=best,
-            violation=(
-                f"durability: recovered snapshot {best} outside"
-                f" [{commits_returned}, {commits_returned + 1}]"
-                f" ({commits_returned} commits had returned)"
-            ),
+    snapshot: Optional[int] = min(window) if window else None
+    violation = None
+    if not matches:
+        violation = (
+            "atomicity: recovered state matches no post-commit"
+            f" snapshot ({len(recovered)} objects recovered)"
+        )
+    elif not window:
+        snapshot = max(matches)
+        violation = (
+            f"durability: recovered snapshot {snapshot} outside"
+            f" [{commits_returned}, {commits_returned + 1}]"
+            f" ({commits_returned} commits had returned)"
         )
     return CrashPointResult(
         op=0,
         torn=False,
         crashed=True,
         commits_returned=commits_returned,
-        recovered_snapshot=min(window),
-        violation=None,
+        recovered_snapshot=snapshot,
+        violation=violation,
     )
 
 
@@ -306,17 +297,10 @@ def run_crash_matrix(
         raise ValueError(f"stride must be >= 1, got {stride}")
     spec = workload or CrashWorkload()
     with tempfile.TemporaryDirectory(dir=base_dir) as scratch:
-        # -- counting pre-pass: how many crash points are there? ------
         reference: List[Dict[int, Dict[str, Any]]] = []
         counter = FaultInjectingVFS(seed=spec.seed)
-        pre_path = os.path.join(scratch, "pre.hmdb")
-        _run_workload(pre_path, counter, spec, reference)
-        total_ops = counter.mutation_ops
 
-        # -- one cell per (strided) mutating I/O operation ------------
-        cells: List[CrashPointResult] = []
-        for op in range(1, total_ops + 1, stride):
-            torn = (op % 2) == 0
+        def crash_cell(op: int, torn: bool) -> CrashPointResult:
             cell_dir = os.path.join(scratch, f"cell-{op}")
             os.mkdir(cell_dir)
             path = os.path.join(cell_dir, "crash.hmdb")
@@ -330,17 +314,14 @@ def run_crash_matrix(
             except SimulatedCrash:
                 crashed = True
             except StorageError as error:  # pragma: no cover - defensive
-                cells.append(
-                    CrashPointResult(
-                        op=op,
-                        torn=torn,
-                        crashed=True,
-                        commits_returned=max(0, len(snapshots) - 1),
-                        recovered_snapshot=None,
-                        violation=f"workload died with {error!r}",
-                    )
+                return CrashPointResult(
+                    op=op,
+                    torn=torn,
+                    crashed=True,
+                    commits_returned=max(0, len(snapshots) - 1),
+                    recovered_snapshot=None,
+                    violation=f"workload died with {error!r}",
                 )
-                continue
             commits_returned = max(0, len(snapshots) - 1)
             if not crashed:
                 # The schedule never fired (op beyond the run's I/O);
@@ -351,7 +332,16 @@ def run_crash_matrix(
             cell.op = op
             cell.torn = torn
             cell.crashed = crashed
-            cells.append(cell)
+            return cell
+
+        points, cells = crash_matrix(
+            counter,
+            lambda: _run_workload(
+                os.path.join(scratch, "pre.hmdb"), counter, spec, reference
+            ),
+            crash_cell,
+            stride,
+        )
 
     violations = [cell for cell in cells if cell.violation]
     histogram: Dict[str, int] = {}
@@ -368,7 +358,7 @@ def run_crash_matrix(
             stride=stride, **dataclasses.asdict(spec)
         ),
         "workload": dataclasses.asdict(spec),
-        "io_ops_total": total_ops,
+        "io_ops_total": len(points),
         "stride": stride,
         "crash_points_tested": len(cells),
         "commits": spec.transactions,
@@ -377,22 +367,6 @@ def run_crash_matrix(
         "recovered_histogram": histogram,
         "cells": [cell.to_dict() for cell in cells],
     }
-
-
-def write_crash_bench(
-    out_path: str,
-    workload: Optional[CrashWorkload] = None,
-    stride: int = 1,
-    base_dir: Optional[str] = None,
-) -> Dict[str, Any]:
-    """Run the matrix and write the document to ``out_path``."""
-    document = run_crash_matrix(
-        workload=workload, stride=stride, base_dir=base_dir
-    )
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return document
 
 
 def format_summary(document: Dict[str, Any]) -> str:

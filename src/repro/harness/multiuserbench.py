@@ -30,14 +30,13 @@ closure benchmark).
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import tempfile
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
-from repro.core.config import HyperModelConfig
-from repro.core.generator import DatabaseGenerator, GeneratedDatabase
+from repro.core.generator import GeneratedDatabase
 from repro.engine.wal import WriteAheadLog
+from repro.harness.grid import generate_structure, latency_leaf
 from repro.harness.provenance import provenance
 from repro.netsim.config import NetworkConfig, SimConfig
 from repro.netsim.latency import LatencyModel
@@ -86,23 +85,6 @@ class MultiUserCell:
 
     def to_json(self) -> Dict[str, object]:
         return dataclasses.asdict(self)
-
-
-def _generate_structure(
-    level: int, seed: int
-) -> "tuple[GeneratedDatabase, Dict[int, Dict[str, Any]]]":
-    """Generate the shared structure once; return (gen, record dump)."""
-    from repro.backends.clientserver import ClientServerDatabase
-
-    server = ObjectServer(latency=LatencyModel())
-    loader = ClientServerDatabase(server=server)
-    loader.open()
-    gen = DatabaseGenerator(
-        HyperModelConfig(levels=level, seed=seed)
-    ).generate(loader)
-    loader.commit()
-    loader.close()
-    return gen, server.export_records()
 
 
 def _fresh_server(
@@ -177,11 +159,8 @@ def _run_cell(
         abort_rate=round(result.abort_rate, 6),
         throughput_per_s=round(result.throughput_per_second, 4),
         makespan_s=round(result.makespan_seconds, 6),
-        p50_ms=round(hist.percentile(0.50), 4),
-        p90_ms=round(hist.percentile(0.90), 4),
-        p99_ms=round(hist.percentile(0.99), 4),
-        max_ms=round(hist.maximum, 4),
         histogram=hist.to_dict(),
+        **latency_leaf(hist),
         queue_s=round(result.queue_seconds, 6),
         busy_s=round(result.busy_seconds, 6),
         server_commits=result.server_commits,
@@ -228,6 +207,8 @@ def run_multiuser_bench(
     if not clients or clients[0] < 1:
         raise ValueError("client counts must be positive")
     conflict_rates = sorted(set(float(r) for r in conflict_rates))
+    if not all(0.0 <= rate <= 1.0 for rate in conflict_rates):
+        raise ValueError("conflict rates must be within [0, 1]")
     sim = SimConfig(seed=seed)
     recorder = None
     cadence = 0.0
@@ -243,38 +224,53 @@ def run_multiuser_bench(
         own_tmp = tempfile.TemporaryDirectory(prefix="hypermodel-mp-")
         workdir = own_tmp.name
     try:
-        gen, records = _generate_structure(level, seed)
-        cells: Dict[str, Dict[str, Dict[str, object]]] = {}
-        for n in clients:
-            row: Dict[str, Dict[str, object]] = {}
-            for rate in conflict_rates:
-                wal = WriteAheadLog(
-                    os.path.join(workdir, f"mp-{n}-{rate}.wal"),
-                    sync_on_commit=False,
-                    group_commit=True,
-                    group_commit_size=group_commit_size,
+        gen, records = generate_structure(level, seed)
+
+        def run_cell(
+            wal_name: str, n: int, rate: float, label: str, **wal_options: Any
+        ) -> MultiUserCell:
+            wal = WriteAheadLog(
+                os.path.join(workdir, wal_name),
+                sync_on_commit=False,
+                **wal_options,
+            )
+            try:
+                return _run_cell(
+                    gen,
+                    records,
+                    wal,
+                    n,
+                    rate,
+                    transactions_per_client,
+                    reads_per_txn,
+                    hot_set_size,
+                    seed,
+                    sim,
+                    instrumentation,
+                    recorder=recorder,
+                    sample_cadence_seconds=cadence,
+                    sample_label=label,
                 )
-                try:
-                    cell = _run_cell(
-                        gen,
-                        records,
-                        wal,
-                        n,
-                        rate,
-                        transactions_per_client,
-                        reads_per_txn,
-                        hot_set_size,
-                        seed,
-                        sim,
-                        instrumentation,
-                        recorder=recorder,
-                        sample_cadence_seconds=cadence,
-                        sample_label=f"clients-{n}/conflict-{rate:g}",
-                    )
-                finally:
-                    wal.close()
-                row[f"conflict-{rate:g}"] = cell.to_json()
-            cells[f"clients-{n}"] = row
+            finally:
+                wal.close()
+
+        group_commit = {
+            "group_commit": True,
+            "group_commit_size": group_commit_size,
+        }
+        cells: Dict[str, Dict[str, Dict[str, object]]] = {
+            f"clients-{n}": {
+                f"conflict-{rate:g}": run_cell(
+                    f"mp-{n}-{rate}.wal",
+                    n,
+                    rate,
+                    f"clients-{n}/conflict-{rate:g}",
+                    **group_commit,
+                ).to_json()
+                for rate in conflict_rates
+            }
+            for n in clients
+        }
 
         # WAL ablation: per-commit fsync vs group commit at the
         # largest client count, conflict 0.0 (clean commit stream).
@@ -284,37 +280,13 @@ def run_multiuser_bench(
             "conflict_rate": 0.0,
             "group_commit_size": group_commit_size,
         }
-        for label, wal_kwargs in (
+        for label, wal_options in (
             ("per_commit", {}),
-            (
-                "group_commit",
-                {"group_commit": True, "group_commit_size": group_commit_size},
-            ),
+            ("group_commit", group_commit),
         ):
-            wal = WriteAheadLog(
-                os.path.join(workdir, f"mp-wal-{label}.wal"),
-                sync_on_commit=False,
-                **wal_kwargs,
+            cell = run_cell(
+                f"mp-wal-{label}.wal", top, 0.0, f"wal/{label}", **wal_options
             )
-            try:
-                cell = _run_cell(
-                    gen,
-                    records,
-                    wal,
-                    top,
-                    0.0,
-                    transactions_per_client,
-                    reads_per_txn,
-                    hot_set_size,
-                    seed,
-                    sim,
-                    instrumentation,
-                    recorder=recorder,
-                    sample_cadence_seconds=cadence,
-                    sample_label=f"wal/{label}",
-                )
-            finally:
-                wal.close()
             wal_section[label] = {
                 "fsyncs_per_commit": cell.fsyncs_per_commit,
                 "wal_syncs": cell.wal_syncs,
@@ -349,15 +321,6 @@ def run_multiuser_bench(
         "cells": cells,
         "wal": wal_section,
     }
-
-
-def write_multiuser_bench(out_path: str, **kwargs: Any) -> Dict[str, object]:
-    """Run :func:`run_multiuser_bench` and write ``out_path`` as JSON."""
-    document = run_multiuser_bench(**kwargs)
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return document
 
 
 def format_summary(document: Dict[str, object]) -> str:

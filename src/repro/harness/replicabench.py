@@ -33,12 +33,12 @@ shape the other benchmarks use, under
 
 from __future__ import annotations
 
-import json
+import functools
 import random
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.core.config import HyperModelConfig
-from repro.core.generator import DatabaseGenerator, GeneratedDatabase
+from repro.core.generator import GeneratedDatabase
+from repro.harness.grid import closure_ms, generate_structure, latency_leaf
 from repro.harness.provenance import provenance
 from repro.netsim.config import ReplicationConfig
 from repro.netsim.latency import LatencyModel, SimulatedClock
@@ -48,7 +48,7 @@ from repro.netsim.sim import (
     Workstation,
     replica_lanes,
 )
-from repro.obs import FlightRecorder, Instrumentation, LatencyHistogram
+from repro.obs import FlightRecorder, Instrumentation
 from repro.replication.group import ReplicationGroup
 
 #: Default grid: replica counts × writer rates (writes per virtual
@@ -67,36 +67,6 @@ _WRITER_WRITES = 12
 _ROOT_LEVEL = 1
 _SERVICE_SECONDS = 0.0002
 _THINK_SECONDS = 0.002
-
-
-def _generate_structure(level: int, seed: int):
-    """Generate the shared structure once; return (gen, record dump)."""
-    from repro.backends.clientserver import ClientServerDatabase
-    from repro.netsim.server import ObjectServer
-
-    server = ObjectServer(latency=LatencyModel())
-    loader = ClientServerDatabase(server=server)
-    loader.open()
-    gen = DatabaseGenerator(
-        HyperModelConfig(levels=level, seed=seed)
-    ).generate(loader)
-    loader.commit()
-    loader.close()
-    return gen, server.export_records()
-
-
-def _leaf(samples_ms: List[float], mode: str, **extra: Any) -> Dict[str, Any]:
-    hist = LatencyHistogram.from_samples(samples_ms)
-    leaf: Dict[str, Any] = {
-        "mode": mode,
-        "samples": len(samples_ms),
-        "p50_ms": round(hist.percentile(0.50), 4),
-        "p90_ms": round(hist.percentile(0.90), 4),
-        "p99_ms": round(hist.percentile(0.99), 4),
-        "max_ms": round(hist.maximum, 4),
-    }
-    leaf.update(extra)
-    return leaf
 
 
 def _cell_key(replicas: int, write_rate: float, lag: float) -> str:
@@ -140,18 +110,30 @@ def _run_cell(
 
     read_samples: List[float] = []
     write_samples: List[float] = []
-    jobs = []
-    total_reads = 0
-    for index in range(_READERS):
+
+    def station(index: int, client_id: str, rng: random.Random) -> Workstation:
         client = ClientServerDatabase(
             server=group,
             clock=SimulatedClock(),
             instrumentation=instr,
-            client_id=f"w{index:02d}",
+            client_id=client_id,
         )
         client.open()
+        return Workstation(index, client, rng)
+
+    def timed_write(client: Any, rng: random.Random, value: int) -> None:
+        uid = gen.random_uid(rng)
+        start = client.simulated_clock.now
+        client.set_attribute(uid, "ten", value)
+        client.commit()
+        write_samples.append((client.simulated_clock.now - start) * 1000.0)
+
+    jobs = []
+    total_reads = 0
+    for index in range(_READERS):
         rng = random.Random(seed * 6151 + index * 97 + replicas)
-        station = Workstation(index, client, rng)
+        reader = station(index, f"w{index:02d}", rng)
+        client = reader.client
         tasks = []
         for step in range(reads_per_reader):
             if step == reads_per_reader // 2:
@@ -159,62 +141,32 @@ def _run_cell(
                 # the session token now outruns every replica, so the
                 # next reads fall back to the primary until a replica
                 # applies this commit — read-your-writes, measured.
-                def write_once(client=client, rng=rng, step=step):
-                    uid = gen.random_uid(rng)
-                    start = client.simulated_clock.now
-                    client.set_attribute(uid, "ten", step % 10)
-                    client.commit()
-                    write_samples.append(
-                        (client.simulated_clock.now - start) * 1000.0
-                    )
-
-                tasks.append(write_once)
+                tasks.append(
+                    functools.partial(timed_write, client, rng, step % 10)
+                )
 
             def read_closure(client=client, rng=rng):
                 root = gen.random_uid_at_level(rng, _ROOT_LEVEL)
-                client.cache.clear()  # every closure starts cold
-                start = client.simulated_clock.now
-                if not client.prefetch_closure(root, "children", None):
-                    raise RuntimeError("push-down unexpectedly disabled")
-                read_samples.append(
-                    (client.simulated_clock.now - start) * 1000.0
-                )
+                read_samples.append(closure_ms(client, root))
 
             tasks.append(read_closure)
             total_reads += 1
-        jobs.append((station, tasks))
+        jobs.append((reader, tasks))
 
     if write_rate > 0:
-        writer = ClientServerDatabase(
-            server=group,
-            clock=SimulatedClock(),
-            instrumentation=instr,
-            client_id="wr",
-        )
-        writer.open()
         wrng = random.Random(seed * 7583 + replicas * 11)
-        station = Workstation(_READERS, writer, wrng)
+        writer = station(_READERS, "wr", wrng)
         interval = 1.0 / write_rate
 
-        def make_write(step: int):
-            def paced_write(writer=writer, wrng=wrng, step=step):
-                # Self-paced: the writer advances its own clock to the
-                # next beat, so its commit rate is the grid's write
-                # rate regardless of the global think time.
-                writer.simulated_clock.advance(interval)
-                uid = gen.random_uid(wrng)
-                start = writer.simulated_clock.now
-                writer.set_attribute(uid, "ten", step % 10)
-                writer.commit()
-                write_samples.append(
-                    (writer.simulated_clock.now - start) * 1000.0
-                )
+        def paced_write(step: int) -> None:
+            # Self-paced: the writer advances its own clock to the
+            # next beat, so its commit rate is the grid's write rate
+            # regardless of the global think time.
+            writer.client.simulated_clock.advance(interval)
+            timed_write(writer.client, wrng, step % 10)
 
-            return paced_write
-
-        jobs.append(
-            (station, [make_write(step) for step in range(_WRITER_WRITES)])
-        )
+        paced = [functools.partial(paced_write, n) for n in range(_WRITER_WRITES)]
+        jobs.append((writer, paced))
 
     before = instr.snapshot()
     scheduler = DiscreteEventScheduler(
@@ -233,9 +185,10 @@ def _run_cell(
     replica_reads = int(delta.get("backend.replica.reads", 0))
     fallbacks = int(delta.get("backend.replica.fallbacks", 0))
     cell: Dict[str, Any] = {
-        "reads": _leaf(
+        "reads": latency_leaf(
             read_samples,
-            "replica-read",
+            mode="replica-read",
+            samples=len(read_samples),
             throughput_per_s=round(total_reads / makespan, 4)
             if makespan > 0
             else 0.0,
@@ -245,9 +198,10 @@ def _run_cell(
         )
     }
     if write_samples:
-        cell["writes"] = _leaf(
+        cell["writes"] = latency_leaf(
             write_samples,
-            "replica-write",
+            mode="replica-write",
+            samples=len(write_samples),
             writes=len(write_samples),
         )
     return cell
@@ -269,19 +223,12 @@ def _run_routing_cell(
     group.load_records(records)
     client = ClientServerDatabase(server=group, instrumentation=instr)
     client.open()
-    clock = client.simulated_clock
     rng = random.Random(seed * 9377)
     roots = [gen.random_internal_uid(rng) for _ in range(closures)]
 
     def timed_closures(force_primary: bool, cold: bool) -> List[float]:
         client.server.force_primary = force_primary
-        samples = []
-        for root in roots:
-            if cold:
-                client.cache.clear()
-            start = clock.now
-            client.prefetch_closure(root, "children", None)
-            samples.append((clock.now - start) * 1000.0)
+        samples = [closure_ms(client, root, cold) for root in roots]
         client.server.force_primary = False
         return samples
 
@@ -290,9 +237,12 @@ def _run_routing_cell(
     warm = timed_closures(force_primary=False, cold=False)
     client.close()
     return {
-        "replica_cold": _leaf(replica_cold, "replica-routed"),
-        "primary_cold": _leaf(primary_cold, "primary-forced"),
-        "warm": _leaf(warm, "workstation-warm"),
+        key: latency_leaf(samples, mode=mode, samples=len(samples))
+        for key, samples, mode in (
+            ("replica_cold", replica_cold, "replica-routed"),
+            ("primary_cold", primary_cold, "primary-forced"),
+            ("warm", warm, "workstation-warm"),
+        )
     }
 
 
@@ -320,7 +270,7 @@ def run_replica_bench(
         raise ValueError("replica counts must be positive")
     for lag in lags:
         ReplicationConfig(replicas=max(replica_counts), apply_lag_seconds=lag)
-    gen, records = _generate_structure(level, seed)
+    gen, records = generate_structure(level, seed)
     recorder = None
     if timeline is not None:
         recorder = FlightRecorder(None, capacity=65536, clock="virtual")
@@ -376,15 +326,6 @@ def run_replica_bench(
         ),
         "cells": cells,
     }
-
-
-def write_replica_bench(out_path: str, **kwargs: Any) -> Dict[str, Any]:
-    """Run :func:`run_replica_bench` and write ``out_path`` as JSON."""
-    document = run_replica_bench(**kwargs)
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return document
 
 
 def format_summary(document: Dict[str, Any]) -> str:

@@ -35,10 +35,10 @@ gates on ``violation_count == 0``.
 from __future__ import annotations
 
 import dataclasses
-import json
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.vfs import FaultInjectingVFS, MemoryVFS, SimulatedCrash
+from repro.harness.grid import crash_matrix, generate_structure
 from repro.harness.provenance import provenance
 from repro.netsim.config import ReplicationConfig
 from repro.obs import Instrumentation
@@ -48,7 +48,6 @@ from repro.replication.router import ReplicaRouter
 __all__ = [
     "FailoverWorkload",
     "run_failover_drill",
-    "write_failover_bench",
     "format_summary",
 ]
 
@@ -87,24 +86,6 @@ class FailoverWorkload:
             raise ValueError("a failover drill needs at least 1 replica")
         if self.transactions < 1:
             raise ValueError("transactions must be >= 1")
-
-
-def _base_records(level: int, seed: int) -> Dict[int, Dict[str, Any]]:
-    """Generate the structure once; every cell reloads this snapshot."""
-    from repro.backends.clientserver import ClientServerDatabase
-    from repro.core.config import HyperModelConfig
-    from repro.core.generator import DatabaseGenerator
-    from repro.netsim.server import ObjectServer
-
-    server = ObjectServer()
-    loader = ClientServerDatabase(server=server)
-    loader.open()
-    DatabaseGenerator(HyperModelConfig(levels=level, seed=seed)).generate(
-        loader
-    )
-    loader.commit()
-    loader.close()
-    return server.export_records()
 
 
 def _script_writes(
@@ -166,9 +147,6 @@ class _Cell:
     applied_lsns: List[int]
     promoted_index: Optional[int]
     violation: Optional[str] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
 
 
 def _drive(
@@ -339,20 +317,20 @@ def run_failover_drill(
     exported as a Chrome trace.
     """
     spec = workload or FailoverWorkload()
-    records = _base_records(spec.level, spec.seed)
+    _gen, records = generate_structure(spec.level, spec.seed)
     script = _script_writes(records, spec)
 
     counter = FaultInjectingVFS(MemoryVFS(), seed=spec.seed)
-    group, router = _deployment(records, spec, counter)
-    first_op = counter.mutation_ops + 1
-    _drive(router, script)
-    last_op = counter.mutation_ops
+    _group, router = _deployment(records, spec, counter)
+    points, cells = crash_matrix(
+        counter,
+        lambda: _drive(router, script),
+        lambda op, torn: _run_cell(records, spec, op, torn),
+    )
 
-    cells: List[_Cell] = []
-    for op in range(first_op, last_op + 1):
-        cells.append(_run_cell(records, spec, op, torn=(op % 2 == 0)))
-
-    trace_violation = _export_trace(records, spec, last_op, trace_path)
+    trace_violation = _export_trace(
+        records, spec, points.stop - 1, trace_path
+    )
     violations = [
         f"op {cell.op} ({'torn' if cell.torn else 'clean'}): "
         f"{cell.violation}"
@@ -367,7 +345,7 @@ def run_failover_drill(
         "crash_points_tested": len(cells),
         "violation_count": len(violations),
         "violations": violations,
-        "cells": [cell.to_dict() for cell in cells],
+        "cells": [dataclasses.asdict(cell) for cell in cells],
         "provenance": provenance(**dataclasses.asdict(spec)),
     }
 
@@ -411,19 +389,6 @@ def _export_trace(
     if cell.violation:
         return f"trace cell: {cell.violation}"
     return None
-
-
-def write_failover_bench(
-    out_path: str,
-    workload: Optional[FailoverWorkload] = None,
-    trace_path: Optional[str] = None,
-) -> Dict[str, Any]:
-    """Run the drill and write the document as JSON."""
-    document = run_failover_drill(workload, trace_path=trace_path)
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return document
 
 
 def format_summary(document: Dict[str, Any]) -> str:

@@ -23,58 +23,39 @@ benchmarks use, under ``cells[shards<N>-<placement>][closure|update]``.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import random
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.config import HyperModelConfig
-from repro.core.generator import DatabaseGenerator, GeneratedDatabase
+from repro.core.generator import GeneratedDatabase
+from repro.harness.grid import closure_ms, generate_structure, latency_leaf
 from repro.harness.provenance import provenance
 from repro.netsim.config import NetworkConfig, ShardConfig
-from repro.netsim.latency import LatencyModel
-from repro.obs import FlightRecorder, Instrumentation, LatencyHistogram
+from repro.obs import FlightRecorder, Instrumentation
 
 #: Default grid: shard counts × placement policies.
 DEFAULT_SHARDS = (1, 2, 4)
 DEFAULT_PLACEMENTS = ("hash", "affine")
 
 
-def _generate_structure(level: int, seed: int):
-    """Generate the shared structure once; return (gen, record dump)."""
+def _deployment(
+    records: Dict[int, Dict[str, Any]],
+    shards: int,
+    placement: str,
+    **network: Any,
+) -> Tuple[Any, Instrumentation]:
+    """A fresh optimistic sharded client loaded with ``records``."""
     from repro.backends.clientserver import ClientServerDatabase
-    from repro.netsim.server import ObjectServer
 
-    server = ObjectServer(latency=LatencyModel())
-    loader = ClientServerDatabase(server=server)
-    loader.open()
-    gen = DatabaseGenerator(
-        HyperModelConfig(levels=level, seed=seed)
-    ).generate(loader)
-    loader.commit()
-    loader.close()
-    return gen, server.export_records()
-
-
-@dataclasses.dataclass
-class _Phase:
-    """Latency samples + counter deltas of one measured phase."""
-
-    samples_ms: List[float]
-    counters: Dict[str, float]
-
-    def leaf(self, mode: str, **extra: Any) -> Dict[str, Any]:
-        hist = LatencyHistogram.from_samples(self.samples_ms)
-        leaf: Dict[str, Any] = {
-            "mode": mode,
-            "samples": len(self.samples_ms),
-            "p50_ms": round(hist.percentile(0.50), 4),
-            "p90_ms": round(hist.percentile(0.90), 4),
-            "p99_ms": round(hist.percentile(0.99), 4),
-            "max_ms": round(hist.maximum, 4),
-        }
-        leaf.update(extra)
-        return leaf
+    instr = Instrumentation()
+    config = NetworkConfig(
+        concurrency="optimistic",
+        sharding=ShardConfig(shards=shards, placement=placement),
+        **network,
+    )
+    db = ClientServerDatabase(network=config, instrumentation=instr)
+    db.open()
+    db.server.load_records(records)
+    return db, instr
 
 
 def _run_cell(
@@ -87,16 +68,7 @@ def _run_cell(
     seed: int,
     recorder: Optional[FlightRecorder] = None,
 ) -> Dict[str, Any]:
-    from repro.backends.clientserver import ClientServerDatabase
-
-    instr = Instrumentation()
-    network = NetworkConfig(
-        concurrency="optimistic",
-        sharding=ShardConfig(shards=shards, placement=placement),
-    )
-    db = ClientServerDatabase(network=network, instrumentation=instr)
-    db.open()
-    db.server.load_records(records)
+    db, instr = _deployment(records, shards, placement)
     clock = db.simulated_clock
     rng = random.Random(
         seed * 7919 + shards * 101 + (13 if placement == "hash" else 29)
@@ -111,18 +83,14 @@ def _run_cell(
     before = instr.snapshot()
     closure_samples: List[float] = []
     for _ in range(closures):
-        root = gen.random_internal_uid(rng)
-        db.cache.clear()  # every closure starts cold
-        start = clock.now
-        pushed = db.prefetch_closure(root, "children", None)
-        if not pushed:  # pragma: no cover - pushdown is on in this grid
-            raise RuntimeError("closure push-down unexpectedly disabled")
-        closure_samples.append((clock.now - start) * 1000.0)
+        closure_samples.append(closure_ms(db, gen.random_internal_uid(rng)))
         if recorder is not None:
             recorder.sample(clock.now, label=f"{cell_key}/closure")
     closure_delta = instr.delta_since(before)
-    closure = _Phase(closure_samples, closure_delta).leaf(
-        "sharded-closure",
+    closure = latency_leaf(
+        closure_samples,
+        mode="sharded-closure",
+        samples=len(closure_samples),
         round_trips=int(closure_delta.get("backend.rpc.round_trips", 0)),
         scatter_rounds=int(
             closure_delta.get("backend.rpc.scatter.rounds", 0)
@@ -149,8 +117,10 @@ def _run_cell(
             recorder.sample(clock.now, label=f"{cell_key}/update")
     update_span = clock.now - update_start
     update_delta = instr.delta_since(before)
-    update = _Phase(update_samples, update_delta).leaf(
-        "sharded-update",
+    update = latency_leaf(
+        update_samples,
+        mode="sharded-update",
+        samples=len(update_samples),
         round_trips=int(update_delta.get("backend.rpc.round_trips", 0)),
         two_phase_commits=int(update_delta.get("backend.2pc.commits", 0)),
         throughput_per_s=round(updates / update_span, 4)
@@ -178,33 +148,19 @@ def _run_deep_cell(
     ``budget_ms_per_node`` ceiling later — until then the cell is
     informational only (bench-diff skips cells the baseline lacks).
     """
-    from repro.backends.clientserver import ClientServerDatabase
-
-    instr = Instrumentation()
-    network = NetworkConfig(
-        concurrency="optimistic",
-        cache_capacity=131072,
-        sharding=ShardConfig(shards=shards, placement=placement),
+    db, instr = _deployment(
+        records, shards, placement, cache_capacity=131072
     )
-    db = ClientServerDatabase(network=network, instrumentation=instr)
-    db.open()
-    db.server.load_records(records)
-    clock = db.simulated_clock
     before = instr.snapshot()
-    samples_ms: List[float] = []
-    nodes = 0
-    for _ in range(closures):
-        db.cache.clear()
-        start = clock.now
-        if not db.prefetch_closure(gen.root_uid, "children", None):
-            raise RuntimeError("closure push-down unexpectedly disabled")
-        samples_ms.append((clock.now - start) * 1000.0)
+    samples_ms = [closure_ms(db, gen.root_uid) for _ in range(closures)]
     delta = instr.delta_since(before)
     nodes = int(delta.get("backend.rpc.pushdown.objects", 0)) // max(
         closures, 1
     )
-    leaf = _Phase(samples_ms, delta).leaf(
-        "sharded-deep-closure",
+    leaf = latency_leaf(
+        samples_ms,
+        mode="sharded-deep-closure",
+        samples=len(samples_ms),
         level=level,
         nodes=nodes,
         median_ms_per_node=round(
@@ -251,7 +207,7 @@ def run_sharded_bench(
         raise ValueError("shard counts must be positive")
     for placement in placements:
         ShardConfig(shards=max(shard_counts), placement=placement)
-    gen, records = _generate_structure(level, seed)
+    gen, records = generate_structure(level, seed)
     recorder = None
     if timeline is not None:
         recorder = FlightRecorder(None, capacity=65536, clock="virtual")
@@ -269,7 +225,7 @@ def run_sharded_bench(
                 recorder=recorder,
             )
     if deep_level is not None:
-        deep_gen, deep_records = _generate_structure(deep_level, seed)
+        deep_gen, deep_records = generate_structure(deep_level, seed)
         deep_shards = shard_counts[-1]
         for placement in placements:
             cells[f"deep{deep_level}-shards{deep_shards}-{placement}"] = (
@@ -305,15 +261,6 @@ def run_sharded_bench(
     if deep_level is not None:
         document["deep_level"] = deep_level
         document["deep_closures"] = deep_closures
-    return document
-
-
-def write_sharded_bench(out_path: str, **kwargs: Any) -> Dict[str, Any]:
-    """Run :func:`run_sharded_bench` and write ``out_path`` as JSON."""
-    document = run_sharded_bench(**kwargs)
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
     return document
 
 

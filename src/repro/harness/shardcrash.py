@@ -42,13 +42,13 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import json
 import os
 import tempfile
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.engine.vfs import FaultInjectingVFS, SimulatedCrash
 from repro.engine.wal import WriteAheadLog
+from repro.harness.grid import crash_matrix, generate_structure
 from repro.harness.provenance import provenance
 from repro.netsim.config import ShardConfig
 from repro.netsim.latency import SimulatedClock
@@ -59,7 +59,6 @@ from repro.sharding.router import ShardRouter
 __all__ = [
     "TwoPhaseWorkload",
     "run_two_phase_crash_matrix",
-    "write_two_phase_crash_bench",
     "format_summary",
 ]
 
@@ -102,24 +101,6 @@ class TwoPhaseWorkload:
             raise ValueError("a 2PC matrix needs at least 2 shards")
         if self.transactions < 1:
             raise ValueError("transactions must be >= 1")
-
-
-def _base_records(level: int, seed: int) -> Dict[int, Dict[str, Any]]:
-    """Generate the structure once; every cell reloads this snapshot."""
-    from repro.backends.clientserver import ClientServerDatabase
-
-    server = ObjectServer()
-    loader = ClientServerDatabase(server=server)
-    loader.open()
-    from repro.core.config import HyperModelConfig
-    from repro.core.generator import DatabaseGenerator
-
-    DatabaseGenerator(HyperModelConfig(levels=level, seed=seed)).generate(
-        loader
-    )
-    loader.commit()
-    loader.close()
-    return server.export_records()
 
 
 def _script_writes(
@@ -205,10 +186,7 @@ class _Deployment:
         Returns a fresh router over the recovered servers, sharing the
         reopened decision log — the caller runs ``resolve_in_doubt``.
         """
-        for server in self.servers:
-            if server.wal is not None:
-                server.wal.close()
-        self.decision_log.close()
+        self.close()
         self.servers = [
             ObjectServer(
                 self.clock,
@@ -296,6 +274,27 @@ def _verify_cell(
     return None
 
 
+def _prepare(
+    deployment: _Deployment,
+    txid: int,
+    writes: Dict[int, Dict[str, Any]],
+    prepared: List[int],
+    only: Optional[int] = None,
+) -> None:
+    """Prepare each participant's slice of ``writes`` in shard order.
+
+    Each acknowledging shard is appended to ``prepared``, so after a
+    :class:`SimulatedCrash` the list holds exactly the survivors.
+    ``only`` restricts the round to that one shard.
+    """
+    groups = deployment.placement.partition(writes)
+    for index in sorted(groups) if only is None else [only]:
+        deployment.servers[index].prepare_batch(
+            txid, {uid: writes[uid] for uid in groups[index]}, {}
+        )
+        prepared.append(index)
+
+
 def _drive(
     deployment: _Deployment,
     scenario: str,
@@ -308,12 +307,8 @@ def _drive(
     (``"committed"`` or ``"aborted"``).  ``participant-torn-prepare``
     is driven elsewhere (the crash happens *inside* a prepare).
     """
-    groups = deployment.placement.partition(writes)
-    participants = sorted(groups)
-    for index in participants:
-        deployment.servers[index].prepare_batch(
-            txid, {uid: writes[uid] for uid in groups[index]}, {}
-        )
+    participants: List[int] = []
+    _prepare(deployment, txid, writes, participants)
     if scenario == "coordinator-before-decision":
         return "aborted"
     deployment.decision_log.log_commit(txid, [])
@@ -327,31 +322,6 @@ def _drive(
     return "committed"
 
 
-def _count_prepare_ops(
-    scratch: str,
-    spec: TwoPhaseWorkload,
-    records: Dict[int, Dict[str, Any]],
-    txid: int,
-    writes: Dict[int, Dict[str, Any]],
-    victim: int,
-) -> int:
-    """Counting pre-pass: mutating WAL I/O ops in the victim's prepare."""
-    counter = FaultInjectingVFS(seed=spec.seed)
-    pre_dir = os.path.join(scratch, "pre")
-    os.mkdir(pre_dir)
-    deployment = _Deployment(
-        pre_dir, spec, records, wal_vfs={victim: counter}
-    )
-    try:
-        groups = deployment.placement.partition(writes)
-        deployment.servers[victim].prepare_batch(
-            txid, {uid: writes[uid] for uid in groups[victim]}, {}
-        )
-    finally:
-        deployment.close()
-    return counter.mutation_ops
-
-
 @dataclasses.dataclass
 class _Cell:
     scenario: str
@@ -361,8 +331,63 @@ class _Cell:
     expected: str
     violation: Optional[str]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
+
+def _torn_prepare_cells(
+    scratch: str,
+    spec: TwoPhaseWorkload,
+    records: Dict[int, Dict[str, Any]],
+    txn: int,
+    writes: Dict[int, Dict[str, Any]],
+) -> List[_Cell]:
+    """Crash inside the last shard's prepare, once per WAL I/O op."""
+    txid = txn + 1
+    victim = spec.shards - 1
+    torn_dir = os.path.join(scratch, f"torn-{txn}")
+    os.mkdir(torn_dir)
+    counter = FaultInjectingVFS(seed=spec.seed)
+
+    def count_prepare() -> None:
+        pre_dir = os.path.join(torn_dir, "pre")
+        os.mkdir(pre_dir)
+        deployment = _Deployment(
+            pre_dir, spec, records, wal_vfs={victim: counter}
+        )
+        try:
+            _prepare(deployment, txid, writes, [], only=victim)
+        finally:
+            deployment.close()
+
+    def torn_cell(op: int, torn: bool) -> _Cell:
+        cell_dir = os.path.join(torn_dir, f"op-{op}")
+        os.mkdir(cell_dir)
+        vfs = FaultInjectingVFS(seed=spec.seed + txn * 1000 + op).crash_at(
+            op, torn=torn
+        )
+        deployment = _Deployment(cell_dir, spec, records, wal_vfs={victim: vfs})
+        prepared: List[int] = []
+        try:
+            _prepare(deployment, txid, writes, prepared)
+            violation: Optional[str] = (
+                f"torn-prepare cell at op {op} never crashed"
+                f" ({counter.mutation_ops} ops counted)"
+            )
+        except SimulatedCrash:
+            # Presumed abort: the coordinator saw the prepare fail,
+            # aborts the survivors, logs nothing … and then the whole
+            # site goes down too.
+            for index in prepared:
+                deployment.servers[index].abort_prepared(txid)
+            router = deployment.recover()
+            outcomes = router.resolve_in_doubt()
+            violation = _verify_cell(
+                deployment, router, outcomes, txid, writes, "aborted"
+            )
+        deployment.close()
+        return _Cell(
+            "participant-torn-prepare", txn, op, torn, "aborted", violation
+        )
+
+    return crash_matrix(counter, count_prepare, torn_cell)[1]
 
 
 def run_two_phase_crash_matrix(
@@ -375,7 +400,7 @@ def run_two_phase_crash_matrix(
     the torn-write prefixes and the cell order are all seed-derived.
     """
     spec = workload or TwoPhaseWorkload()
-    records = _base_records(spec.level, spec.seed)
+    _gen, records = generate_structure(spec.level, spec.seed)
     script = _script_writes(records, spec)
     cells: List[_Cell] = []
     with tempfile.TemporaryDirectory(dir=base_dir) as scratch:
@@ -397,63 +422,7 @@ def run_two_phase_crash_matrix(
                 cells.append(
                     _Cell(scenario, txn, 0, False, expected, violation)
                 )
-            # -- torn prepare: crash inside the victim's WAL write ----
-            victim = spec.shards - 1
-            torn_dir = os.path.join(scratch, f"torn-{txn}")
-            os.mkdir(torn_dir)
-            total_ops = _count_prepare_ops(
-                torn_dir, spec, records, txid, writes, victim
-            )
-            for op in range(1, total_ops + 1):
-                torn = (op % 2) == 0
-                cell_dir = os.path.join(torn_dir, f"op-{op}")
-                os.mkdir(cell_dir)
-                vfs = FaultInjectingVFS(
-                    seed=spec.seed + txn * 1000 + op
-                ).crash_at(op, torn=torn)
-                deployment = _Deployment(
-                    cell_dir, spec, records, wal_vfs={victim: vfs}
-                )
-                groups = deployment.placement.partition(writes)
-                participants = sorted(groups)
-                prepared: List[int] = []
-                violation: Optional[str] = None
-                crashed = False
-                for index in participants:
-                    try:
-                        deployment.servers[index].prepare_batch(
-                            txid,
-                            {uid: writes[uid] for uid in groups[index]},
-                            {},
-                        )
-                        prepared.append(index)
-                    except SimulatedCrash:
-                        crashed = True
-                        break
-                if not crashed:
-                    violation = (
-                        f"torn-prepare cell at op {op} never crashed"
-                        f" ({total_ops} ops counted)"
-                    )
-                else:
-                    # Presumed abort: the coordinator saw the prepare
-                    # fail, aborts the survivors, logs nothing … and
-                    # then the whole site goes down too.
-                    for index in prepared:
-                        deployment.servers[index].abort_prepared(txid)
-                    router = deployment.recover()
-                    outcomes = router.resolve_in_doubt()
-                    violation = _verify_cell(
-                        deployment, router, outcomes, txid, writes,
-                        "aborted",
-                    )
-                deployment.close()
-                cells.append(
-                    _Cell(
-                        "participant-torn-prepare", txn, op, torn,
-                        "aborted", violation,
-                    )
-                )
+            cells += _torn_prepare_cells(scratch, spec, records, txn, writes)
     violations = [cell for cell in cells if cell.violation]
     by_scenario: Dict[str, int] = {}
     for cell in cells:
@@ -465,24 +434,9 @@ def run_two_phase_crash_matrix(
         "crash_points_tested": len(cells),
         "cells_by_scenario": by_scenario,
         "violation_count": len(violations),
-        "violations": [cell.to_dict() for cell in violations],
-        "cells": [cell.to_dict() for cell in cells],
+        "violations": [dataclasses.asdict(cell) for cell in violations],
+        "cells": [dataclasses.asdict(cell) for cell in cells],
     }
-
-
-def write_two_phase_crash_bench(
-    out_path: str,
-    workload: Optional[TwoPhaseWorkload] = None,
-    base_dir: Optional[str] = None,
-) -> Dict[str, Any]:
-    """Run the matrix and write the document to ``out_path``."""
-    document = run_two_phase_crash_matrix(
-        workload=workload, base_dir=base_dir
-    )
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return document
 
 
 def format_summary(document: Dict[str, Any]) -> str:

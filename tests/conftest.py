@@ -12,59 +12,25 @@ import os
 
 import pytest
 
-from repro.backends.clientserver import ClientServerDatabase
+from repro.backends import create_backend, get_backend_spec
 from repro.backends.memory import MemoryDatabase
-from repro.backends.oodb import OodbDatabase
-from repro.backends.sqlite_backend import SqliteDatabase
 from repro.core.config import HyperModelConfig
 from repro.core.generator import DatabaseGenerator
-from repro.netsim.config import (
-    NetworkConfig,
-    ReplicationConfig,
-    ShardConfig,
-)
 
 BACKEND_NAMES = [
-    "memory", "sqlite", "sqlite-file", "oodb",
+    "memory", "sqlite", "sqlite-file", "oodb", "oodb-unclustered",
     "clientserver", "clientserver-bfs",
     "clientserver-sharded-hash", "clientserver-sharded-affine",
-    "clientserver-replicated",
+    "clientserver-sharded-occ", "clientserver-replicated",
 ]
 
 
-def make_backend(name: str, tmp_path, suffix: str = "db"):
-    """Construct a closed backend of the given kind."""
-    if name == "memory":
-        return MemoryDatabase()
-    if name == "sqlite":
-        return SqliteDatabase(":memory:")
-    if name == "sqlite-file":
-        return SqliteDatabase(os.path.join(str(tmp_path), f"{suffix}.sqlite"))
-    if name == "oodb":
-        return OodbDatabase(os.path.join(str(tmp_path), f"{suffix}.hmdb"))
-    if name == "clientserver":
-        return ClientServerDatabase()
-    if name == "clientserver-bfs":
-        return ClientServerDatabase(network=NetworkConfig(pushdown=False))
-    if name == "clientserver-sharded-hash":
-        return ClientServerDatabase(
-            network=NetworkConfig(
-                sharding=ShardConfig(shards=2, placement="hash")
-            )
-        )
-    if name == "clientserver-sharded-affine":
-        return ClientServerDatabase(
-            network=NetworkConfig(
-                sharding=ShardConfig(shards=2, placement="affine")
-            )
-        )
-    if name == "clientserver-replicated":
-        return ClientServerDatabase(
-            network=NetworkConfig(
-                replication=ReplicationConfig(replicas=2)
-            )
-        )
-    raise ValueError(name)
+def make_backend(name: str, tmp_path):
+    """Construct a closed backend through the registry."""
+    path = None
+    if get_backend_spec(name).needs_path:
+        path = os.path.join(str(tmp_path), f"db-{name}")
+    return create_backend(name, path)
 
 
 @pytest.fixture

@@ -1,8 +1,13 @@
 """The ``hypermodel`` CLI: every subcommand end to end."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+BASELINES = Path(__file__).resolve().parents[1] / "benchmarks" / "baseline"
 
 
 class TestInfo:
@@ -203,6 +208,139 @@ class TestBenchMultiuser:
         }
         assert any("w00" in name for name in lane_names)
         assert any("w01" in name for name in lane_names)
+
+
+def _load(path):
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+class TestBenchSharded:
+    def test_small_grid_with_timeline(self, capsys, tmp_path):
+        out_path = str(tmp_path / "BENCH_sharded.json")
+        timeline = str(tmp_path / "timeline.jsonl")
+        code = main(
+            ["bench-sharded", "--shards", "1,2", "--level", "2",
+             "--closures", "2", "--updates", "2", "--out", out_path,
+             "--timeline", timeline]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "sharded grid — level 2" in out
+        assert f"results written to {out_path}" in out
+        assert (
+            f"timeline written to {timeline} (virtual clock, deterministic)"
+            in out
+        )
+        document = _load(out_path)
+        assert document["benchmark"] == "sharded"
+        assert set(document["cells"]) == {
+            "shards1-hash", "shards1-affine", "shards2-hash", "shards2-affine",
+        }
+        with open(timeline, encoding="utf-8") as handle:
+            samples = [json.loads(line) for line in handle]
+        assert {sample["label"] for sample in samples} >= {
+            "shards2-hash/closure", "shards2-hash/update",
+        }
+
+    def test_defaults_reproduce_the_committed_baseline(self, capsys, tmp_path):
+        # The grid runs in virtual time, so its document is a pure
+        # function of the defaults; any drift in the cost model or the
+        # sharded path shows up here exactly, not as +25% p50 noise.
+        out_path = str(tmp_path / "BENCH_sharded.json")
+        assert main(["bench-sharded", "--out", out_path]) == 0
+        fresh = _load(out_path)
+        baseline = _load(BASELINES / "BENCH_sharded.json")
+        fresh.pop("provenance")
+        baseline.pop("provenance")
+        assert fresh == baseline
+
+
+class TestBenchReplica:
+    def test_small_grid(self, capsys, tmp_path):
+        out_path = str(tmp_path / "BENCH_replica.json")
+        code = main(
+            ["bench-replica", "--replicas", "1,2", "--write-rates", "0",
+             "--lags", "0", "--level", "2", "--reads-per-reader", "2",
+             "--routing-closures", "2", "--out", out_path]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "replica grid — level 2" in out
+        assert f"results written to {out_path}" in out
+        assert "timeline written" not in out
+        document = _load(out_path)
+        assert document["benchmark"] == "replica"
+        assert set(document["cells"]) == {
+            "replicas1-write0-lag0ms", "replicas2-write0-lag0ms", "routing",
+        }
+
+
+class TestCrashtestLegs:
+    def test_all_three_drills_write_their_documents(self, capsys, tmp_path):
+        paths = {
+            name: str(tmp_path / name)
+            for name in (
+                "crash.json", "crash2pc.json", "failover.json", "trace.json",
+            )
+        }
+        code = main(
+            ["crashtest", "--transactions", "1", "--ops-per-txn", "1",
+             "--payload-bytes", "32", "--stride", "8",
+             "--out", paths["crash.json"],
+             "--two-phase", "--two-phase-transactions", "1",
+             "--two-phase-out", paths["crash2pc.json"],
+             "--failover", "--failover-transactions", "1",
+             "--failover-out", paths["failover.json"],
+             "--failover-trace", paths["trace.json"]]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        for headline in (
+            "crash-recovery matrix",
+            "two-phase-commit crash matrix",
+            "replica failover drill:",
+        ):
+            assert headline in out
+        for name, benchmark in (
+            ("crash.json", "crash-recovery-matrix"),
+            ("crash2pc.json", "two-phase-crash-matrix"),
+            ("failover.json", "replica-failover"),
+        ):
+            assert f"results written to {paths[name]}" in out
+            document = _load(paths[name])
+            assert document["benchmark"] == benchmark
+            assert document["violation_count"] == 0
+        assert f"trace written to {paths['trace.json']}" in out
+        assert "traceEvents" in _load(paths["trace.json"])
+
+
+class TestOutOfRangeInput:
+    """Bad input exits 2 (a usage error) before any work or output."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["crashtest", "--stride", "0"],
+            ["crashtest", "--transactions", "0"],
+            ["crashtest", "--two-phase", "--two-phase-shards", "1"],
+            ["crashtest", "--failover", "--failover-replicas", "0"],
+            ["bench-sharded", "--shards", "0"],
+            ["bench-sharded", "--shards", "1,x"],
+            ["bench-sharded", "--placements", "hash,nowhere"],
+            ["bench-multiuser", "--conflict", "1.5"],
+            ["bench-multiuser", "--clients", "0,2"],
+            ["bench-replica", "--lags", "-0.5"],
+            ["bench-closure", "--levels", "x"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_exits_2_and_writes_nothing(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRubenstein:

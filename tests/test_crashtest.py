@@ -10,8 +10,8 @@ from repro.harness.crashtest import (
     _verify_cell,
     format_summary,
     run_crash_matrix,
-    write_crash_bench,
 )
+from repro.harness.benchdiff import write_document
 
 #: Small but real: ~40-60 crash points, runs in well under a second.
 SMALL = CrashWorkload(transactions=3, ops_per_txn=3, payload_bytes=32, seed=7)
@@ -20,7 +20,9 @@ SMALL = CrashWorkload(transactions=3, ops_per_txn=3, payload_bytes=32, seed=7)
 @pytest.fixture(scope="module")
 def document(tmp_path_factory):
     out = tmp_path_factory.mktemp("crash") / "BENCH_crash.json"
-    return write_crash_bench(str(out), workload=SMALL), str(out)
+    doc = run_crash_matrix(workload=SMALL)
+    write_document(str(out), doc)
+    return doc, str(out)
 
 
 class TestMatrix:
